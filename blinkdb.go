@@ -798,7 +798,7 @@ func (r *Result) MaxRelErr() float64 {
 // rendered query-lifecycle span tree (cache state is shared with the
 // plain form of the query, so a warm replay shows the warm path).
 func (e *Engine) Query(sql string) (*Result, error) {
-	res, _, err := e.queryTraced(sql)
+	res, _, err := e.query(context.Background(), sql, false, nil)
 	return res, err
 }
 
@@ -808,7 +808,7 @@ func (e *Engine) Query(sql string) (*Result, error) {
 // Cancelled queries return ctx.Err() (or a wrapped form satisfying
 // errors.Is) and count toward EngineStats.Cancelled.
 func (e *Engine) QueryCtx(ctx context.Context, sql string) (*Result, error) {
-	res, _, err := e.query(ctx, sql, false)
+	res, _, err := e.query(ctx, sql, false, nil)
 	return res, err
 }
 
@@ -818,28 +818,7 @@ func (e *Engine) QueryCtx(ctx context.Context, sql string) (*Result, error) {
 // walk span durations programmatically; plain Query keeps the zero-
 // overhead untraced path.
 func (e *Engine) QueryTraced(sql string) (*Result, *telemetry.Trace, error) {
-	return e.query(context.Background(), sql, true)
-}
-
-func (e *Engine) queryTraced(sql string) (*Result, *telemetry.Trace, error) {
-	return e.query(context.Background(), sql, false)
-}
-
-func (e *Engine) query(ctx context.Context, sql string, forceTrace bool) (*Result, *telemetry.Trace, error) {
-	q, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	var tr *telemetry.Trace
-	if q.Analyze || forceTrace {
-		tr = telemetry.New("query")
-	}
-	resp, err := e.rt.RunCtxTraced(ctx, q, tr)
-	tr.Finish()
-	if err != nil {
-		return nil, nil, err
-	}
-	return buildResult(q, resp, tr), tr, nil
+	return e.query(context.Background(), sql, true, nil)
 }
 
 // StreamUpdate is one refinement of a streaming query session: a
@@ -867,27 +846,55 @@ type StreamUpdate struct {
 // emit aborts the session and is returned; ctx cancellation behaves as
 // in QueryCtx, checked between refinements and inside scans.
 func (e *Engine) QueryStream(ctx context.Context, sql string, emit func(StreamUpdate) error) error {
+	_, _, err := e.query(ctx, sql, false, emit)
+	return err
+}
+
+// query is the body of the SQL-text entry points: parse, then Run.
+func (e *Engine) query(ctx context.Context, sql string, trace bool, emit func(StreamUpdate) error) (*Result, *telemetry.Trace, error) {
 	q, err := sqlparser.Parse(sql)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
+	return e.Run(ctx, q, trace, emit)
+}
+
+// Run is the engine's one query entry point, for callers that already
+// hold a parsed query (the HTTP server binds request bounds onto the AST
+// and never re-parses). Query, QueryCtx, QueryTraced and QueryStream are
+// this with the SQL parsed first. trace captures the span tree even
+// without an EXPLAIN ANALYZE prefix; the returned trace is nil when
+// neither asks for one. A nil emit answers once; a non-nil emit makes the
+// call a streaming session (see QueryStream) whose final update carries
+// the returned Result.
+func (e *Engine) Run(ctx context.Context, q *sqlparser.Query, trace bool, emit func(StreamUpdate) error) (*Result, *telemetry.Trace, error) {
 	var tr *telemetry.Trace
-	if q.Analyze {
+	if q.Analyze || trace {
 		tr = telemetry.New("query")
 	}
-	err = e.rt.RunStreamTraced(ctx, q, tr, func(r elp.Refinement) error {
-		if r.Final {
-			tr.Finish()
+	var final *Result
+	var refine func(elp.Refinement) error
+	if emit != nil {
+		refine = func(r elp.Refinement) error {
+			if r.Final {
+				tr.Finish() // the final update renders the whole trace
+			}
+			res := buildResult(q, r.Resp, tr)
+			if r.Final {
+				final = res
+			}
+			return emit(StreamUpdate{Result: res, Level: r.Level, Seq: r.Seq, Final: r.Final})
 		}
-		return emit(StreamUpdate{
-			Result: buildResult(q, r.Resp, tr),
-			Level:  r.Level,
-			Seq:    r.Seq,
-			Final:  r.Final,
-		})
-	})
+	}
+	resp, err := e.rt.Run(ctx, q, tr, refine)
 	tr.Finish()
-	return err
+	if err != nil {
+		return nil, nil, err
+	}
+	if final == nil {
+		final = buildResult(q, resp, tr)
+	}
+	return final, tr, nil
 }
 
 // buildResult maps an elp response onto the public Result shape.

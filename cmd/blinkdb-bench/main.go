@@ -14,6 +14,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -72,11 +73,9 @@ type execRecord struct {
 	RowsPerSec map[string]float64 `json:"rows_per_sec_by_workers"`
 	// ColumnarRowsPerSec is the columnar-layout (vectorized) throughput.
 	ColumnarRowsPerSec map[string]float64 `json:"columnar_rows_per_sec_by_workers"`
-	// AffinityOnRowsPerSec / AffinityOffRowsPerSec pair the columnar
-	// throughput under the node-affine shard scheduler against the
-	// node-blind one (results are bit-identical; only worker→range
-	// assignment differs).
-	AffinityOnRowsPerSec  map[string]float64 `json:"affinity_on_rows_per_sec_by_workers"`
+	// AffinityOffRowsPerSec is the columnar throughput under the
+	// node-blind scheduler; ColumnarRowsPerSec is its node-affine pair
+	// (results are bit-identical; only worker→range assignment differs).
 	AffinityOffRowsPerSec map[string]float64 `json:"affinity_off_rows_per_sec_by_workers"`
 	// LocalityHitRate is the fraction of the bench table's bytes the
 	// node-affine schedule reads on the owning node (1.0 when every scan
@@ -479,13 +478,14 @@ func executorBench(smoke bool) execRecord {
 		panic(err) // static query against a static schema
 	}
 
+	ctx := context.Background()
 	measure := func(in exec.Input, workers int, sched exec.Sched) float64 {
 		// Warm up once, then time enough iterations for ≥ ~0.5 s.
-		exec.RunParallelSched(plan, in, 0.95, workers, sched)
+		exec.Run(ctx, plan, in, exec.Options{Confidence: 0.95, Workers: workers, Sched: sched})
 		iters := 0
 		start := time.Now()
 		for time.Since(start) < window {
-			exec.RunParallelSched(plan, in, 0.95, workers, sched)
+			exec.Run(ctx, plan, in, exec.Options{Confidence: 0.95, Workers: workers, Sched: sched})
 			iters++
 		}
 		return float64(rows) * float64(iters) / time.Since(start).Seconds()
@@ -496,7 +496,6 @@ func executorBench(smoke bool) execRecord {
 		Rows: rows, Blocks: len(rowTab.Blocks),
 		RowsPerSec:            map[string]float64{},
 		ColumnarRowsPerSec:    map[string]float64{},
-		AffinityOnRowsPerSec:  map[string]float64{},
 		AffinityOffRowsPerSec: map[string]float64{},
 	}
 	_, shards := exec.ScanShards(colTab.Blocks)
@@ -505,7 +504,6 @@ func executorBench(smoke bool) execRecord {
 		key := fmt.Sprintf("%d", w)
 		rec.RowsPerSec[key] = measure(exec.FromTable(rowTab), w, exec.SchedNodeAffine)
 		rec.ColumnarRowsPerSec[key] = measure(exec.FromTable(colTab), w, exec.SchedNodeAffine)
-		rec.AffinityOnRowsPerSec[key] = rec.ColumnarRowsPerSec[key]
 		rec.AffinityOffRowsPerSec[key] = measure(exec.FromTable(colTab), w, exec.SchedBlind)
 	}
 	if base := rec.RowsPerSec["1"]; base > 0 {
@@ -557,13 +555,14 @@ func kernelsBench(smoke bool) kernelRecord {
 	rleTab := build(true)
 	plainTab := build(false)
 
+	ctx := context.Background()
 	measure := func(plan *exec.Plan, tab *storage.Table) float64 {
 		in := exec.FromTable(tab)
-		exec.RunParallel(plan, in, 0.95, 1) // warm
+		exec.Run(ctx, plan, in, exec.Options{Confidence: 0.95}) // warm
 		iters := 0
 		start := time.Now()
 		for time.Since(start) < window {
-			exec.RunParallel(plan, in, 0.95, 1)
+			exec.Run(ctx, plan, in, exec.Options{Confidence: 0.95})
 			iters++
 		}
 		return float64(rows) * float64(iters) / time.Since(start).Seconds()
@@ -632,13 +631,14 @@ func kernelsBench(smoke bool) kernelRecord {
 	if err != nil {
 		panic(err)
 	}
+	join := exec.Options{Confidence: 0.95, Joins: []exec.JoinSpec{spec}}
 	measureJoin := func(plan *exec.Plan) float64 {
 		in := exec.FromTable(rleTab)
-		exec.RunJoinParallel(plan, in, []exec.JoinSpec{spec}, 0.95, 1)
+		exec.Run(ctx, plan, in, join)
 		iters := 0
 		start := time.Now()
 		for time.Since(start) < window {
-			exec.RunJoinParallel(plan, in, []exec.JoinSpec{spec}, 0.95, 1)
+			exec.Run(ctx, plan, in, join)
 			iters++
 		}
 		return float64(rows) * float64(iters) / time.Since(start).Seconds()

@@ -302,21 +302,18 @@ func (sh *shell) execute(src string) error {
 	if sh.tracing || q.Analyze {
 		tr = telemetry.New("query")
 	}
-	var resp *elp.Response
+	var emit func(elp.Refinement) error
 	if sh.streaming {
-		err = sh.rt.RunStreamTraced(context.Background(), q, tr, func(r elp.Refinement) error {
-			if r.Final {
-				resp = r.Resp
-				return nil
+		emit = func(r elp.Refinement) error {
+			if !r.Final {
+				fmt.Printf("  ~ refinement %d (L%d): %d groups, worst rel err %.1f%%, sim latency %.2fs\n",
+					r.Seq, r.Level, len(r.Resp.Result.Groups),
+					100*worstRelErr(r.Resp), r.Resp.SimLatency)
 			}
-			fmt.Printf("  ~ refinement %d (L%d): %d groups, worst rel err %.1f%%, sim latency %.2fs\n",
-				r.Seq, r.Level, len(r.Resp.Result.Groups),
-				100*worstRelErr(r.Resp), r.Resp.SimLatency)
 			return nil
-		})
-	} else {
-		resp, err = sh.rt.RunTraced(q, tr)
+		}
 	}
+	resp, err := sh.rt.Run(context.Background(), q, tr, emit)
 	tr.Finish()
 	if err != nil {
 		return err

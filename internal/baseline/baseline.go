@@ -11,6 +11,7 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -36,7 +37,7 @@ import (
 func FullScan(clus *cluster.Cluster, prof cluster.EngineProfile, tab *storage.Table,
 	plan *exec.Plan, scale, memFraction float64, workers int, sched exec.Sched) (*exec.Result, float64) {
 
-	res := exec.RunParallelSched(plan, exec.FromTable(tab), 0.95, workers, sched)
+	res, _ := exec.Run(context.Background(), plan, exec.FromTable(tab), exec.Options{Confidence: 0.95, Workers: workers, Sched: sched})
 	logical := float64(tab.Bytes()) * scale
 	shuffle := logical * 0.01
 	taskBytes := 256e6

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -83,7 +84,7 @@ func TestOLAConvergesAndIsAccurate(t *testing.T) {
 	tab := testTable(t, 50000)
 	plan := compile(t, `SELECT AVG(time) FROM sessions`, tab.Schema)
 	clus := cluster.New(cluster.PaperConfig())
-	exact := exec.Run(plan, exec.FromTable(tab), 0.95)
+	exact, _ := exec.Run(context.Background(), plan, exec.FromTable(tab), exec.Options{Confidence: 0.95})
 	truth := exact.Groups[0].Estimates[0].Point
 
 	r := OLA(clus, tab, plan, OLAConfig{TargetRelErr: 0.05, Seed: 1, Scale: 1e5})
@@ -129,7 +130,7 @@ func TestOLAFullStreamIsExact(t *testing.T) {
 	if !e[0].Exact || e[0].Bound != 0 {
 		t.Error("full stream should be exact")
 	}
-	exact := exec.Run(plan, exec.FromTable(tab), 0.95)
+	exact, _ := exec.Run(context.Background(), plan, exec.FromTable(tab), exec.Options{Confidence: 0.95})
 	if math.Abs(e[1].Point-exact.Groups[0].Estimates[1].Point) > 1e-6 {
 		t.Errorf("sum = %g vs %g", e[1].Point, exact.Groups[0].Estimates[1].Point)
 	}
@@ -169,7 +170,7 @@ func TestOLACountVarianceCalibrated(t *testing.T) {
 	tab := testTable(t, 20000)
 	plan := compile(t, `SELECT COUNT(*) FROM sessions WHERE os = 'Win7'`, tab.Schema)
 	clus := cluster.New(cluster.PaperConfig())
-	exact := exec.Run(plan, exec.FromTable(tab), 0.95)
+	exact, _ := exec.Run(context.Background(), plan, exec.FromTable(tab), exec.Options{Confidence: 0.95})
 	truth := exact.Groups[0].Estimates[0].Point
 	hits, trials := 0, 40
 	for s := 0; s < trials; s++ {
@@ -223,7 +224,7 @@ func TestOLAQuantile(t *testing.T) {
 	tab := testTable(t, 30000)
 	plan := compile(t, `SELECT MEDIAN(time) FROM sessions`, tab.Schema)
 	clus := cluster.New(cluster.PaperConfig())
-	exact := exec.Run(plan, exec.FromTable(tab), 0.95)
+	exact, _ := exec.Run(context.Background(), plan, exec.FromTable(tab), exec.Options{Confidence: 0.95})
 	truth := exact.Groups[0].Estimates[0].Point
 	r := OLA(clus, tab, plan, OLAConfig{TargetRelErr: 0.05, Seed: 5})
 	got := r.Result.Groups[0].Estimates[0].Point

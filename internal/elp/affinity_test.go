@@ -1,6 +1,7 @@
 package elp
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ func TestProbeOncePerFamilyView(t *testing.T) {
 	// The loose bound keeps the chosen level at the probe level, so the
 	// probe answer doubles as the final answer: exactly 3 executions.
 	before := f.rt.Stats()
-	resp, err := f.rt.Run(parse(t, `SELECT COUNT(*) FROM sessions WHERE genre = 'western' ERROR WITHIN 25%`))
+	resp, err := f.rt.Run(context.Background(), parse(t, `SELECT COUNT(*) FROM sessions WHERE genre = 'western' ERROR WITHIN 25%`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestProbeOncePerFamilyView(t *testing.T) {
 	// Covering family: no selectFamily probes; selectResolution runs the
 	// one probe and the final answer reuses it — exactly 1 execution.
 	before = f.rt.Stats()
-	resp, err = f.rt.Run(parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`))
+	resp, err = f.rt.Run(context.Background(), parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestUniformFamilyReasonLabel(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := New(cat, cluster.New(cluster.PaperConfig()), Options{})
-	resp, err := rt.Run(parse(t, `SELECT COUNT(*) FROM sessions WHERE genre = 'drama' ERROR WITHIN 25%`))
+	resp, err := rt.Run(context.Background(), parse(t, `SELECT COUNT(*) FROM sessions WHERE genre = 'drama' ERROR WITHIN 25%`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +123,11 @@ func TestAffinityEquivalenceELP(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			rtOn := New(f.cat, f.clus, Options{Workers: workers})
 			rtOff := New(f.cat, f.clus, Options{Workers: workers, Affine: &off})
-			got, err := rtOn.Run(q)
+			got, err := rtOn.Run(context.Background(), q, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotOff, err := rtOff.Run(q)
+			gotOff, err := rtOff.Run(context.Background(), q, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

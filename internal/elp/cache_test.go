@@ -1,6 +1,7 @@
 package elp
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -56,12 +57,12 @@ func TestCacheBitIdentity(t *testing.T) {
 	f, ref := twoRuntimes(t, 30000)
 	for _, src := range cacheQueries {
 		q := parse(t, src)
-		want, err := ref.Run(q)
+		want, err := ref.Run(context.Background(), q, nil, nil)
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
 		for rep := 0; rep < 3; rep++ {
-			got, err := f.rt.Run(parse(t, src))
+			got, err := f.rt.Run(context.Background(), parse(t, src), nil, nil)
 			if err != nil {
 				t.Fatalf("%q rep %d: %v", src, rep, err)
 			}
@@ -95,7 +96,7 @@ func TestCacheBitIdentity(t *testing.T) {
 func TestCacheMissNotCountedOnError(t *testing.T) {
 	f, _ := twoRuntimes(t, 5000)
 	before := f.rt.Stats()
-	if _, err := f.rt.Run(parse(t, `SELECT COUNT(*) FROM nosuchtable ERROR WITHIN 10%`)); err == nil {
+	if _, err := f.rt.Run(context.Background(), parse(t, `SELECT COUNT(*) FROM nosuchtable ERROR WITHIN 10%`), nil, nil); err == nil {
 		t.Fatal("unknown table should error")
 	}
 	after := f.rt.Stats()
@@ -110,14 +111,14 @@ func TestCacheMissNotCountedOnError(t *testing.T) {
 func TestCacheHitSkipsProbes(t *testing.T) {
 	f, _ := twoRuntimes(t, 30000)
 	q := `SELECT COUNT(*) FROM sessions WHERE genre = 'western' ERROR WITHIN 25%`
-	if _, err := f.rt.Run(parse(t, q)); err != nil {
+	if _, err := f.rt.Run(context.Background(), parse(t, q), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := f.rt.Stats()
 	if before.ProbeExecs == 0 {
 		t.Fatal("cold run should have probed")
 	}
-	if _, err := f.rt.Run(parse(t, q)); err != nil {
+	if _, err := f.rt.Run(context.Background(), parse(t, q), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	after := f.rt.Stats()
@@ -134,7 +135,7 @@ func TestCacheHitSkipsProbes(t *testing.T) {
 	// Same template, different constant: still a hit (no probes), but the
 	// answer is computed for the new constant — exactly one executor run.
 	before = after
-	resp, err := f.rt.Run(parse(t, `SELECT COUNT(*) FROM sessions WHERE genre = 'drama' ERROR WITHIN 25%`))
+	resp, err := f.rt.Run(context.Background(), parse(t, `SELECT COUNT(*) FROM sessions WHERE genre = 'drama' ERROR WITHIN 25%`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +164,8 @@ func TestCacheDifferentConstantsCorrectAnswer(t *testing.T) {
 		}
 	}
 	point := func(genre string) float64 {
-		resp, err := f.rt.Run(parse(t, fmt.Sprintf(
-			`SELECT COUNT(*) FROM sessions WHERE genre = '%s' ERROR WITHIN 25%%`, genre)))
+		resp, err := f.rt.Run(context.Background(), parse(t, fmt.Sprintf(
+			`SELECT COUNT(*) FROM sessions WHERE genre = '%s' ERROR WITHIN 25%%`, genre)), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,15 +188,15 @@ func TestEpochInvalidation(t *testing.T) {
 	f, ref := twoRuntimes(t, 30000)
 	const src = `SELECT COUNT(*) FROM sessions WHERE genre = 'western' ERROR WITHIN 25%`
 
-	if _, err := f.rt.Run(parse(t, src)); err != nil {
+	if _, err := f.rt.Run(context.Background(), parse(t, src), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A second warm template that will NOT be re-queried after the
 	// refresh: the stale sweep must still purge it.
-	if _, err := f.rt.Run(parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`)); err != nil {
+	if _, err := f.rt.Run(context.Background(), parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := f.rt.Run(parse(t, src))
+	resp, err := f.rt.Run(context.Background(), parse(t, src), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestEpochInvalidation(t *testing.T) {
 	}
 
 	before := f.rt.Stats()
-	got, err := f.rt.Run(parse(t, src))
+	got, err := f.rt.Run(context.Background(), parse(t, src), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestEpochInvalidation(t *testing.T) {
 	if after.Prepares == before.Prepares || after.ProbeExecs == before.ProbeExecs {
 		t.Error("post-refresh query must re-prepare and re-probe")
 	}
-	want, err := ref.Run(parse(t, src))
+	want, err := ref.Run(context.Background(), parse(t, src), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +272,11 @@ func TestCacheConcurrentHotTemplateWithRefresh(t *testing.T) {
 	// srcLim exercises the LIMIT-truncation path on a shared memoized
 	// result — a former write/write race between concurrent hits.
 	const srcLim = `SELECT AVG(time) FROM sessions WHERE genre = 'western' GROUP BY os ERROR WITHIN 25% LIMIT 2`
-	want, err := ref.Run(parse(t, src))
+	want, err := ref.Run(context.Background(), parse(t, src), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLim, err := ref.Run(parse(t, srcLim))
+	wantLim, err := ref.Run(context.Background(), parse(t, srcLim), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func TestCacheConcurrentHotTemplateWithRefresh(t *testing.T) {
 				if (i+g)%2 == 1 {
 					q, exp = srcLim, wantLim
 				}
-				resp, err := f.rt.Run(parse(t, q))
+				resp, err := f.rt.Run(context.Background(), parse(t, q), nil, nil)
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d: %v", g, err)
 					return

@@ -275,8 +275,9 @@ type Response struct {
 	ResultCache string
 }
 
-// Run parses nothing: q must already be parsed. It plans and executes the
-// query returning estimates with error bars and a simulated latency.
+// Run is the runtime's one query entry point. q must already be parsed;
+// Run plans and executes it, returning estimates with error bars and a
+// simulated latency.
 //
 // Run is Prepare + Execute, wrapped by up to two reuse layers. With the
 // plan cache enabled, the Prepare half is amortized across queries
@@ -289,33 +290,30 @@ type Response struct {
 // TTL-validated, deep-copied so callers cannot mutate cached state), and
 // concurrent misses of one cold key collapse into a single execution
 // whose answer every caller shares.
-func (rt *Runtime) Run(q *sqlparser.Query) (*Response, error) {
-	return rt.RunCtxTraced(context.Background(), q, nil)
-}
-
-// RunCtx is Run with a cancellation context: a context cancelled before
-// the call returns ctx.Err() without planning or scanning anything, and a
-// context cancelled mid-query stops the scan workers within one block
-// range's worth of work. Cancelled queries bump Stats.Cancelled and
-// return no partial answer. The background context makes this exactly
-// Run.
-func (rt *Runtime) RunCtx(ctx context.Context, q *sqlparser.Query) (*Response, error) {
-	return rt.RunCtxTraced(ctx, q, nil)
-}
-
-// RunTraced is Run with query-lifecycle telemetry: span children of the
-// trace's root record each pipeline phase (normalize, cache lookups, the
-// singleflight execution with its probes and per-shard scans, result
-// materialization), and — when Options.Telemetry is set — the completed
-// query is recorded against its template key. tr may be nil: with a nil
-// trace and a nil registry this is exactly Run, with zero telemetry
-// overhead and no allocations on the telemetry paths.
-func (rt *Runtime) RunTraced(q *sqlparser.Query, tr *telemetry.Trace) (*Response, error) {
-	return rt.RunCtxTraced(context.Background(), q, tr)
-}
-
-// RunCtxTraced is RunTraced with a cancellation context (see RunCtx).
-func (rt *Runtime) RunCtxTraced(ctx context.Context, q *sqlparser.Query, tr *telemetry.Trace) (*Response, error) {
+//
+// Cancellation: a ctx cancelled before the call returns ctx.Err() without
+// planning or scanning anything, and a ctx cancelled mid-query stops the
+// scan workers within one block range's worth of work. Cancelled queries
+// bump Stats.Cancelled and return no partial answer.
+//
+// Telemetry: with tr non-nil, span children of the trace's root record
+// each pipeline phase (normalize, cache lookups, the singleflight
+// execution with its probes and per-shard scans, result materialization),
+// and — when Options.Telemetry is set — the completed query is recorded
+// against its template key. With a nil trace and a nil registry there is
+// no telemetry work and no allocation on the telemetry paths.
+//
+// Streaming (§4.4): with emit non-nil, Run is a refinement session. emit
+// receives one Refinement per resolution along the delta chain, in order,
+// ending with exactly one Final refinement whose response is the one Run
+// returns — so it is the very answer a non-streaming Run gives. A session
+// that cannot refine (result-cache hit, singleflight share, exact
+// template, single-level chain, DeltaReuse disabled) emits only the final
+// refinement. An emit error aborts the session and is returned; ctx is
+// also checked between refinements. Each refinement records a
+// "refinement N" span (note level=L) under the execute span, and the
+// final scan a "refinement final" span.
+func (rt *Runtime) Run(ctx context.Context, q *sqlparser.Query, tr *telemetry.Trace, emit func(Refinement) error) (*Response, error) {
 	reg := rt.opt.Telemetry
 	var started time.Time
 	if reg != nil {
@@ -332,7 +330,16 @@ func (rt *Runtime) RunCtxTraced(ctx context.Context, q *sqlparser.Query, tr *tel
 	nsp := root.Child("normalize")
 	key, params := sqlparser.Normalize(q)
 	nsp.End()
-	resp, err := rt.runKeyed(ctx, q, key, params, root)
+	seq := 0
+	var emitMid midEmitter
+	if emit != nil {
+		emitMid = func(resp *Response, level int) error {
+			r := Refinement{Resp: resp, Level: level, Seq: seq}
+			seq++
+			return emit(r)
+		}
+	}
+	resp, err := rt.runKeyed(ctx, q, key, params, root, emitMid)
 	if err != nil {
 		if isCancellation(err) {
 			rt.bump(&rt.stats.cancelled)
@@ -341,6 +348,11 @@ func (rt *Runtime) RunCtxTraced(ctx context.Context, q *sqlparser.Query, tr *tel
 	}
 	if reg != nil {
 		reg.Observe(key, observationFor(resp, time.Since(started).Seconds()))
+	}
+	if emit != nil {
+		if err := emit(Refinement{Resp: resp, Level: responseLevel(resp), Seq: seq, Final: true}); err != nil {
+			return nil, err
+		}
 	}
 	return resp, nil
 }
@@ -376,10 +388,13 @@ func observationFor(resp *Response, wallSeconds float64) telemetry.Observation {
 }
 
 // runKeyed is the Run body with normalization precomputed and an optional
-// parent span (nil when untraced).
-func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, root *telemetry.Span) (*Response, error) {
+// parent span (nil when untraced). Intermediate refinements flow through
+// emitMid (nil when not streaming) on the execute path only: cache hits
+// and singleflight shares have no cheaper resolutions to show, so Run
+// emits their answer as the session's single final refinement.
+func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, root *telemetry.Span, emitMid midEmitter) (*Response, error) {
 	if rt.results == nil {
-		resp, note, _, err := rt.runPrepared(ctx, q, key, params, root)
+		resp, note, _, err := rt.runPrepared(ctx, q, key, params, root, emitMid)
 		if err != nil {
 			return nil, err
 		}
@@ -405,55 +420,53 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 		rt.results.Sweep(func(_ string, cand *resultEntry) bool { return rt.freshDeps(cand.deps) })
 	}
 	lsp.End()
+	if emitMid != nil {
+		// Intermediates only flow on the executing path, whose final is
+		// annotated result=miss — mark its intermediates the same way so
+		// a session's refinements agree about where they came from.
+		inner := emitMid
+		emitMid = func(resp *Response, level int) error {
+			annotateResult(resp, "miss")
+			return inner(resp, level)
+		}
+	}
 	var cachedHit bool
 	fsp := root.Child("execute")
 	ent, shared, err := rt.flights.Do(rkey, func() (*resultEntry, error) {
 		var err error
 		var e *resultEntry
 		// Only the singleflight leader's closure runs, so only the
-		// leader's trace carries the pipeline spans; waiters' "execute"
-		// spans cover their wait and are noted result=shared below.
-		e, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, fsp)
+		// leader's trace carries the pipeline spans (and only the leader
+		// streams intermediates); waiters' "execute" spans cover their
+		// wait and are noted result=shared below.
+		e, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, fsp, emitMid)
 		return e, err
 	})
 	fsp.End()
-	if err != nil {
-		// A leader cancelled mid-flight poisons the shared error for every
-		// waiter, but a waiter whose OWN context is still live owes its
-		// caller an answer: run a private leader pass outside the (landed)
-		// flight. Real query errors are shared as-is — re-executing would
-		// reproduce them.
-		if shared && isCancellation(err) && ctx.Err() == nil {
-			rsp := root.Child("cancelled-leader re-execute")
-			ent, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, rsp)
-			rsp.End()
-			if err != nil {
-				return nil, err
-			}
-			shared = false
-			msp := root.Child("materialize")
-			resp := ent.resp.clone()
-			if cachedHit {
-				rt.bump(&rt.stats.resultHits)
-				annotateResult(resp, "hit")
-			} else {
-				annotate(resp, ent.note)
-				annotateResult(resp, "miss")
-			}
-			msp.End()
-			return resp, nil
-		}
+	// Two cases make a waiter run a private leader pass outside the
+	// (already landed) flight; the pass keeps the emitter, so a streaming
+	// waiter still gets its refinements.
+	//   - A leader cancelled mid-flight poisons the shared error, but a
+	//     waiter whose OWN context is still live owes its caller an
+	//     answer. Real query errors are shared as-is — re-executing would
+	//     reproduce them.
+	//   - A shared answer that predates an epoch change this caller has
+	//     already observed (its own cache lookup happened after the
+	//     change) would leak pre-refresh data into a post-refresh query.
+	//     Concurrent stale waiters each re-execute, an acceptable cost for
+	//     the rare refresh window.
+	var retry string
+	switch {
+	case err != nil && shared && isCancellation(err) && ctx.Err() == nil:
+		retry = "cancelled-leader re-execute"
+	case err != nil:
 		return nil, err
+	case shared && !rt.freshDeps(ent.deps):
+		retry = "stale-shared re-execute"
 	}
-	if shared && !rt.freshDeps(ent.deps) {
-		// The shared answer predates an epoch change this caller has
-		// already observed (its own cache lookup happened after the
-		// change): serving it would leak pre-refresh data into a
-		// post-refresh query. Fall back to a fresh leader pass — outside
-		// the (already landed) flight; concurrent stale waiters each
-		// re-execute, an acceptable cost for the rare refresh window.
-		rsp := root.Child("stale-shared re-execute")
-		ent, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, rsp)
+	if retry != "" {
+		rsp := root.Child(retry)
+		ent, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, rsp, emitMid)
 		rsp.End()
 		if err != nil {
 			return nil, err
@@ -490,11 +503,11 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 // would re-run the whole pipeline for an answer that is already cached
 // (and skew the exactly-one-execution Stats contract). cached reports
 // whether the answer came from the cache (a hit) rather than execution.
-func (rt *Runtime) resultLeader(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, rkey string, sp *telemetry.Span) (*resultEntry, bool, error) {
+func (rt *Runtime) resultLeader(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, rkey string, sp *telemetry.Span, emitMid midEmitter) (*resultEntry, bool, error) {
 	if cached, ok := rt.results.Get(rkey); ok && rt.freshDeps(cached.deps) {
 		return cached, true, nil
 	}
-	resp, note, deps, err := rt.runPrepared(ctx, q, key, params, sp)
+	resp, note, deps, err := rt.runPrepared(ctx, q, key, params, sp, emitMid)
 	if err != nil {
 		return nil, false, err
 	}
@@ -510,31 +523,23 @@ func (rt *Runtime) resultLeader(ctx context.Context, q *sqlparser.Query, key str
 // (when enabled), prepare on miss, execute — returning the UNANNOTATED
 // response, the plan-cache note ("hit"/"miss", "" when disabled) and the
 // table-epoch deps the answer was computed against. Callers own the
-// annotation so the result cache can store canonical responses.
-func (rt *Runtime) runPrepared(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, sp *telemetry.Span) (*Response, string, []tableDep, error) {
-	resp, note, deps, err := rt.streamPrepared(ctx, q, key, params, sp, nil)
-	return resp, note, deps, err
-}
-
-// streamPrepared is runPrepared with an optional intermediate-refinement
-// sink: when emitMid is non-nil, executeParams runs in streaming mode and
-// emitMid receives each pre-final refinement (see streamParams). The
-// returned Response is always the final answer — bit-identical to the
-// emitMid==nil path.
-func (rt *Runtime) streamPrepared(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, sp *telemetry.Span, emitMid midEmitter) (*Response, string, []tableDep, error) {
+// annotation so the result cache can store canonical responses. emitMid,
+// when non-nil, receives each pre-final refinement (see executeParams);
+// the returned Response is always the final answer.
+func (rt *Runtime) runPrepared(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, sp *telemetry.Span, emitMid midEmitter) (*Response, string, []tableDep, error) {
 	if rt.cache == nil {
 		pq, err := rt.prepareKeyed(ctx, q, key, params, sp)
 		if err != nil {
 			return nil, "", nil, err
 		}
-		resp, err := rt.streamParams(ctx, pq, q, pq.prepParams, sp, emitMid)
+		resp, err := rt.executeParams(ctx, pq, q, pq.prepParams, sp, emitMid)
 		return resp, "", pq.deps, err
 	}
 	lsp := sp.Child("plan-cache lookup")
 	if pq, ok := rt.cache.Get(key); ok {
 		if rt.fresh(pq) {
 			lsp.End()
-			resp, err := rt.streamParams(ctx, pq, q, params, sp, emitMid)
+			resp, err := rt.executeParams(ctx, pq, q, params, sp, emitMid)
 			if err == nil {
 				lsp.Note("cache=hit")
 				rt.bump(&rt.stats.cacheHits)
@@ -565,7 +570,7 @@ func (rt *Runtime) streamPrepared(ctx context.Context, q *sqlparser.Query, key s
 	// errored prepares would otherwise skew the hit rate.
 	rt.bump(&rt.stats.cacheMisses)
 	rt.cache.Put(key, pq)
-	resp, err := rt.streamParams(ctx, pq, q, params, sp, emitMid)
+	resp, err := rt.executeParams(ctx, pq, q, params, sp, emitMid)
 	return resp, "miss", pq.deps, err
 }
 
@@ -900,13 +905,9 @@ func (rt *Runtime) runPlan(ctx context.Context, plan *exec.Plan, in exec.Input, 
 	if sp != nil {
 		ssp = sp.Child(fmt.Sprintf("scan blocks=%d", len(in.Blocks)))
 	}
-	var res *exec.Result
-	var err error
-	if len(joins) == 0 {
-		res, err = exec.RunParallelSchedCtx(ctx, plan, in, conf, rt.opt.Workers, sched, ssp)
-	} else {
-		res, err = exec.RunJoinParallelSchedCtx(ctx, plan, in, joins, conf, rt.opt.Workers, sched, ssp)
-	}
+	res, err := exec.Run(ctx, plan, in, exec.Options{
+		Confidence: conf, Workers: rt.opt.Workers, Sched: sched, Joins: joins, Span: ssp,
+	})
 	ssp.End()
 	return res, err
 }

@@ -1,6 +1,7 @@
 package elp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -132,7 +133,7 @@ func parse(t testing.TB, src string) *sqlparser.Query {
 
 func TestUnboundedQueryIsExact(t *testing.T) {
 	f := newFixture(t, 30000, Options{})
-	resp, err := f.rt.Run(parse(t, `SELECT COUNT(*) FROM sessions`))
+	resp, err := f.rt.Run(context.Background(), parse(t, `SELECT COUNT(*) FROM sessions`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +150,8 @@ func TestUnboundedQueryIsExact(t *testing.T) {
 
 func TestCoveringFamilySelected(t *testing.T) {
 	f := newFixture(t, 30000, Options{})
-	resp, err := f.rt.Run(parse(t,
-		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5% AT CONFIDENCE 95%`))
+	resp, err := f.rt.Run(context.Background(), parse(t,
+		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5% AT CONFIDENCE 95%`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +174,8 @@ func TestProbingPathWhenNoCoveringFamily(t *testing.T) {
 	f := newFixture(t, 30000, Options{})
 	// φ = {city, genre}: no covering family (families are [city],
 	// [os,url]); runtime must probe.
-	resp, err := f.rt.Run(parse(t,
-		`SELECT AVG(time) FROM sessions WHERE city = 'city1' AND genre = 'western' ERROR WITHIN 10%`))
+	resp, err := f.rt.Run(context.Background(), parse(t,
+		`SELECT AVG(time) FROM sessions WHERE city = 'city1' AND genre = 'western' ERROR WITHIN 10%`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +209,8 @@ func TestProbingPathWhenNoCoveringFamily(t *testing.T) {
 func TestProbeSubsetAblation(t *testing.T) {
 	probeAll := false
 	f := newFixture(t, 30000, Options{ProbeAll: &probeAll})
-	resp, err := f.rt.Run(parse(t,
-		`SELECT AVG(time) FROM sessions WHERE city = 'city1' AND genre = 'western' ERROR WITHIN 10%`))
+	resp, err := f.rt.Run(context.Background(), parse(t,
+		`SELECT AVG(time) FROM sessions WHERE city = 'city1' AND genre = 'western' ERROR WITHIN 10%`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +223,8 @@ func TestProbeSubsetAblation(t *testing.T) {
 
 func TestErrorBoundMet(t *testing.T) {
 	f := newFixture(t, 60000, Options{})
-	resp, err := f.rt.Run(parse(t,
-		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5% AT CONFIDENCE 95%`))
+	resp, err := f.rt.Run(context.Background(), parse(t,
+		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5% AT CONFIDENCE 95%`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,13 +242,13 @@ func TestErrorBoundMet(t *testing.T) {
 
 func TestTighterErrorUsesBiggerSample(t *testing.T) {
 	f := newFixture(t, 60000, Options{})
-	loose, err := f.rt.Run(parse(t,
-		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 20%`))
+	loose, err := f.rt.Run(context.Background(), parse(t,
+		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 20%`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := f.rt.Run(parse(t,
-		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 1%`))
+	tight, err := f.rt.Run(context.Background(), parse(t,
+		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 1%`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,9 +269,9 @@ func TestTighterErrorUsesBiggerSample(t *testing.T) {
 func TestTimeBoundRespected(t *testing.T) {
 	f := newFixture(t, 60000, Options{Scale: 2e4}) // pretend TB-scale
 	for _, budget := range []float64{1, 2, 5, 10} {
-		resp, err := f.rt.Run(parse(t,
+		resp, err := f.rt.Run(context.Background(), parse(t,
 			`SELECT AVG(time) FROM sessions WHERE city = 'city1' GROUP BY os WITHIN `+
-				itoa(int(budget))+` SECONDS`))
+				itoa(int(budget))+` SECONDS`), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,13 +283,13 @@ func TestTimeBoundRespected(t *testing.T) {
 
 func TestLargerTimeBudgetMoreAccurate(t *testing.T) {
 	f := newFixture(t, 60000, Options{Scale: 2e4})
-	fast, err := f.rt.Run(parse(t,
-		`SELECT AVG(time) FROM sessions WHERE city = 'city1' WITHIN 1 SECONDS`))
+	fast, err := f.rt.Run(context.Background(), parse(t,
+		`SELECT AVG(time) FROM sessions WHERE city = 'city1' WITHIN 1 SECONDS`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := f.rt.Run(parse(t,
-		`SELECT AVG(time) FROM sessions WHERE city = 'city1' WITHIN 10 SECONDS`))
+	slow, err := f.rt.Run(context.Background(), parse(t,
+		`SELECT AVG(time) FROM sessions WHERE city = 'city1' WITHIN 10 SECONDS`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +303,8 @@ func TestBothBoundsTimeWins(t *testing.T) {
 	f := newFixture(t, 60000, Options{Scale: 2e4})
 	// 0.1% error needs a huge sample; 1 second does not allow it. Time
 	// must win (paper: most accurate answer within the time bound).
-	resp, err := f.rt.Run(parse(t,
-		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 0.1% WITHIN 1 SECONDS`))
+	resp, err := f.rt.Run(context.Background(), parse(t,
+		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 0.1% WITHIN 1 SECONDS`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +315,8 @@ func TestBothBoundsTimeWins(t *testing.T) {
 
 func TestDisjunctionRewrite(t *testing.T) {
 	f := newFixture(t, 30000, Options{})
-	resp, err := f.rt.Run(parse(t,
-		`SELECT COUNT(*) FROM sessions WHERE city = 'city1' OR os = 'Win7' ERROR WITHIN 10%`))
+	resp, err := f.rt.Run(context.Background(), parse(t,
+		`SELECT COUNT(*) FROM sessions WHERE city = 'city1' OR os = 'Win7' ERROR WITHIN 10%`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,12 +337,12 @@ func TestGroupByRareSubgroupsPresent(t *testing.T) {
 	// Stratified sample on city guarantees rare cities appear in output
 	// (no subset error), unlike a uniform sample of the same size.
 	f := newFixture(t, 60000, Options{})
-	resp, err := f.rt.Run(parse(t,
-		`SELECT COUNT(*) FROM sessions GROUP BY city ERROR WITHIN 10%`))
+	resp, err := f.rt.Run(context.Background(), parse(t,
+		`SELECT COUNT(*) FROM sessions GROUP BY city ERROR WITHIN 10%`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := f.rt.Run(parse(t, `SELECT COUNT(*) FROM sessions GROUP BY city`))
+	exact, err := f.rt.Run(context.Background(), parse(t, `SELECT COUNT(*) FROM sessions GROUP BY city`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,11 +380,11 @@ func TestDeltaReuseCheaperThanFullRead(t *testing.T) {
 	fr := newFixture(t, 30000, Options{DeltaReuse: &reuse, Scale: 2e4})
 	fn := newFixture(t, 30000, Options{DeltaReuse: &noReuse, Scale: 2e4})
 	q := `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`
-	r1, err := fr.rt.Run(parse(t, q))
+	r1, err := fr.rt.Run(context.Background(), parse(t, q), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := fn.rt.Run(parse(t, q))
+	r2, err := fn.rt.Run(context.Background(), parse(t, q), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,10 +405,10 @@ func TestDeltaReuseCheaperThanFullRead(t *testing.T) {
 
 func TestUnknownTableAndColumn(t *testing.T) {
 	f := newFixture(t, 1000, Options{})
-	if _, err := f.rt.Run(parse(t, `SELECT COUNT(*) FROM nope ERROR WITHIN 5%`)); err == nil {
+	if _, err := f.rt.Run(context.Background(), parse(t, `SELECT COUNT(*) FROM nope ERROR WITHIN 5%`), nil, nil); err == nil {
 		t.Error("unknown table should error")
 	}
-	if _, err := f.rt.Run(parse(t, `SELECT COUNT(*) FROM sessions WHERE bogus = 1 ERROR WITHIN 5%`)); err == nil {
+	if _, err := f.rt.Run(context.Background(), parse(t, `SELECT COUNT(*) FROM sessions WHERE bogus = 1 ERROR WITHIN 5%`), nil, nil); err == nil {
 		t.Error("unknown column should error")
 	}
 }
@@ -423,7 +424,7 @@ func TestNoFamiliesFallsBackToBase(t *testing.T) {
 	cat := catalog.New()
 	cat.Register(tab)
 	rt := New(cat, cluster.New(cluster.PaperConfig()), Options{})
-	resp, err := rt.Run(parse(t, `SELECT SUM(x) FROM bare ERROR WITHIN 5%`))
+	resp, err := rt.Run(context.Background(), parse(t, `SELECT SUM(x) FROM bare ERROR WITHIN 5%`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +441,7 @@ func BenchmarkRunErrorBounded(b *testing.B) {
 	q := parse(b, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.rt.Run(q); err != nil {
+		if _, err := f.rt.Run(context.Background(), q, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -467,11 +468,11 @@ func TestLayoutEquivalenceELP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := row.rt.Run(q)
+			want, err := row.rt.Run(context.Background(), q, nil, nil)
 			if err != nil {
 				t.Fatalf("%q (row): %v", src, err)
 			}
-			got, err := col.rt.Run(q)
+			got, err := col.rt.Run(context.Background(), q, nil, nil)
 			if err != nil {
 				t.Fatalf("%q (columnar/%d): %v", src, workers, err)
 			}

@@ -1,6 +1,7 @@
 package elp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -31,8 +32,8 @@ func joinFixture(t *testing.T, rows int, opt Options) *fixture {
 
 func TestJoinUnboundedExact(t *testing.T) {
 	f := joinFixture(t, 20000, Options{})
-	resp, err := f.rt.Run(parse(t,
-		`SELECT COUNT(*) FROM sessions JOIN vendors ON os = os WHERE vendor = 'Apple'`))
+	resp, err := f.rt.Run(context.Background(), parse(t,
+		`SELECT COUNT(*) FROM sessions JOIN vendors ON os = os WHERE vendor = 'Apple'`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +41,8 @@ func TestJoinUnboundedExact(t *testing.T) {
 		t.Error("unbounded join should be exact")
 	}
 	// Apple = OSX + iOS rows; cross-check against two exact counts.
-	osx, _ := f.rt.Run(parse(t, `SELECT COUNT(*) FROM sessions WHERE os = 'OSX'`))
-	ios, _ := f.rt.Run(parse(t, `SELECT COUNT(*) FROM sessions WHERE os = 'iOS'`))
+	osx, _ := f.rt.Run(context.Background(), parse(t, `SELECT COUNT(*) FROM sessions WHERE os = 'OSX'`), nil, nil)
+	ios, _ := f.rt.Run(context.Background(), parse(t, `SELECT COUNT(*) FROM sessions WHERE os = 'iOS'`), nil, nil)
 	want := osx.Result.Groups[0].Estimates[0].Point + ios.Result.Groups[0].Estimates[0].Point
 	if got := resp.Result.Groups[0].Estimates[0].Point; got != want {
 		t.Errorf("join count = %g, want %g", got, want)
@@ -52,8 +53,8 @@ func TestJoinBoundedUsesSample(t *testing.T) {
 	// Scale matters: latency advantages only appear when the base table
 	// is logically large.
 	f := joinFixture(t, 40000, Options{Scale: 2e4})
-	resp, err := f.rt.Run(parse(t,
-		`SELECT AVG(time) FROM sessions JOIN vendors ON os = os WHERE vendor = 'Apple' ERROR WITHIN 10%`))
+	resp, err := f.rt.Run(context.Background(), parse(t,
+		`SELECT AVG(time) FROM sessions JOIN vendors ON os = os WHERE vendor = 'Apple' ERROR WITHIN 10%`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +63,8 @@ func TestJoinBoundedUsesSample(t *testing.T) {
 		t.Fatal("bounded join should use a sample")
 	}
 	// §2.1 case (i): the [os,url] family contains the join key os.
-	exact, err := f.rt.Run(parse(t,
-		`SELECT AVG(time) FROM sessions JOIN vendors ON os = os WHERE vendor = 'Apple'`))
+	exact, err := f.rt.Run(context.Background(), parse(t,
+		`SELECT AVG(time) FROM sessions JOIN vendors ON os = os WHERE vendor = 'Apple'`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,16 +80,16 @@ func TestJoinBoundedUsesSample(t *testing.T) {
 
 func TestJoinGroupByDimensionColumn(t *testing.T) {
 	f := joinFixture(t, 30000, Options{})
-	resp, err := f.rt.Run(parse(t,
-		`SELECT COUNT(*) FROM sessions JOIN vendors ON os = os GROUP BY vendor ERROR WITHIN 15%`))
+	resp, err := f.rt.Run(context.Background(), parse(t,
+		`SELECT COUNT(*) FROM sessions JOIN vendors ON os = os GROUP BY vendor ERROR WITHIN 15%`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.Result.Groups) != 3 {
 		t.Fatalf("vendors = %d, want 3 (Apple, Community, Microsoft)", len(resp.Result.Groups))
 	}
-	exact, _ := f.rt.Run(parse(t,
-		`SELECT COUNT(*) FROM sessions JOIN vendors ON os = os GROUP BY vendor`))
+	exact, _ := f.rt.Run(context.Background(), parse(t,
+		`SELECT COUNT(*) FROM sessions JOIN vendors ON os = os GROUP BY vendor`), nil, nil)
 	for i, g := range resp.Result.Groups {
 		want := exact.Result.Groups[i].Estimates[0].Point
 		got := g.Estimates[0].Point
@@ -114,8 +115,8 @@ func TestJoinAdmissibilityRejected(t *testing.T) {
 	b.Finish()
 	f.cat.Register(dim)
 	// genre is in no stratified family ([city], [os,url]).
-	_, err := f.rt.Run(parse(t,
-		`SELECT COUNT(*) FROM sessions JOIN genres ON genre = genre ERROR WITHIN 10%`))
+	_, err := f.rt.Run(context.Background(), parse(t,
+		`SELECT COUNT(*) FROM sessions JOIN genres ON genre = genre ERROR WITHIN 10%`), nil, nil)
 	if err == nil {
 		t.Fatal("join without key sample or in-memory dim should be rejected")
 	}
@@ -123,8 +124,8 @@ func TestJoinAdmissibilityRejected(t *testing.T) {
 
 func TestJoinUnknownDimTable(t *testing.T) {
 	f := newFixture(t, 1000, Options{})
-	if _, err := f.rt.Run(parse(t,
-		`SELECT COUNT(*) FROM sessions JOIN missing ON os = os ERROR WITHIN 10%`)); err == nil {
+	if _, err := f.rt.Run(context.Background(), parse(t,
+		`SELECT COUNT(*) FROM sessions JOIN missing ON os = os ERROR WITHIN 10%`), nil, nil); err == nil {
 		t.Error("unknown dimension table should error")
 	}
 }

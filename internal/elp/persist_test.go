@@ -1,6 +1,7 @@
 package elp
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func warmupOptions(ttl time.Duration) Options {
 func TestWarmupRoundTrip(t *testing.T) {
 	f := newFixture(t, 30000, warmupOptions(0))
 	for _, src := range cacheQueries {
-		if _, err := f.rt.Run(parse(t, src)); err != nil {
+		if _, err := f.rt.Run(context.Background(), parse(t, src), nil, nil); err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
 	}
@@ -32,7 +33,7 @@ func TestWarmupRoundTrip(t *testing.T) {
 	// AND result caches hot).
 	warm := map[string]*Response{}
 	for _, src := range cacheQueries {
-		resp, err := f.rt.Run(parse(t, src))
+		resp, err := f.rt.Run(context.Background(), parse(t, src), nil, nil)
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
@@ -58,7 +59,7 @@ func TestWarmupRoundTrip(t *testing.T) {
 	// Replayed parameters: served from the restored result cache,
 	// bit-identical to the never-restarted runtime's warm answers.
 	for _, src := range cacheQueries {
-		resp, err := cold.Run(parse(t, src))
+		resp, err := cold.Run(context.Background(), parse(t, src), nil, nil)
 		if err != nil {
 			t.Fatalf("%q after import: %v", src, err)
 		}
@@ -78,11 +79,11 @@ func TestWarmupRoundTrip(t *testing.T) {
 		`SELECT AVG(time) FROM sessions WHERE city = 'city3' ERROR WITHIN 25%`,
 		`SELECT SUM(time) FROM sessions WHERE city = 'city5' OR os = 'OSX' ERROR WITHIN 20%`,
 	} {
-		want, err := f.rt.Run(parse(t, src))
+		want, err := f.rt.Run(context.Background(), parse(t, src), nil, nil)
 		if err != nil {
 			t.Fatalf("%q live: %v", src, err)
 		}
-		got, err := cold.Run(parse(t, src))
+		got, err := cold.Run(context.Background(), parse(t, src), nil, nil)
 		if err != nil {
 			t.Fatalf("%q restored: %v", src, err)
 		}
@@ -100,7 +101,7 @@ func TestWarmupRoundTrip(t *testing.T) {
 func TestWarmupStaleEpochSkipped(t *testing.T) {
 	f := newFixture(t, 8000, warmupOptions(0))
 	src := `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`
-	if _, err := f.rt.Run(parse(t, src)); err != nil {
+	if _, err := f.rt.Run(context.Background(), parse(t, src), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	blob := f.rt.ExportWarmup()
@@ -132,7 +133,7 @@ func TestWarmupStaleEpochSkipped(t *testing.T) {
 func TestWarmupExpiredTTLSkipped(t *testing.T) {
 	f := newFixture(t, 8000, warmupOptions(30*time.Millisecond))
 	src := `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`
-	if _, err := f.rt.Run(parse(t, src)); err != nil {
+	if _, err := f.rt.Run(context.Background(), parse(t, src), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	blob := f.rt.ExportWarmup()
@@ -160,7 +161,7 @@ func TestWarmupCorruptBlobRejected(t *testing.T) {
 	f := newFixture(t, 8000, warmupOptions(0))
 	srcs := cacheQueries[:3]
 	for _, src := range srcs {
-		if _, err := f.rt.Run(parse(t, src)); err != nil {
+		if _, err := f.rt.Run(context.Background(), parse(t, src), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,11 +178,11 @@ func TestWarmupCorruptBlobRejected(t *testing.T) {
 		// correct answers (or miss and re-execute).
 		want := New(f.cat, f.clus, Options{})
 		for _, src := range srcs {
-			got, err := cold.Run(parse(t, src))
+			got, err := cold.Run(context.Background(), parse(t, src), nil, nil)
 			if err != nil {
 				t.Fatalf("off %d %q: %v", off, src, err)
 			}
-			ref, err := want.Run(parse(t, src))
+			ref, err := want.Run(context.Background(), parse(t, src), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

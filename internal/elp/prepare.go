@@ -295,15 +295,98 @@ func (rt *Runtime) Execute(pq *PreparedQuery, q *sqlparser.Query) (*Response, er
 	if key != pq.Key {
 		return nil, errTemplateMismatch
 	}
-	return rt.executeParams(context.Background(), pq, q, params, nil)
+	return rt.executeParams(context.Background(), pq, q, params, nil, nil)
 }
 
 // executeParams is Execute with the normalization precomputed. The
 // response is returned unannotated; Run applies the plan/result cache
-// markers so cached canonical responses stay pristine. It is exactly
-// streamParams with no refinement sink.
-func (rt *Runtime) executeParams(ctx context.Context, pq *PreparedQuery, q *sqlparser.Query, params []types.Value, sp *telemetry.Span) (*Response, error) {
-	return rt.streamParams(ctx, pq, q, params, sp, nil)
+// markers so cached canonical responses stay pristine. With emitMid
+// non-nil it first streams the intermediate refinements (see
+// streamIntermediates in stream.go); the final answer always comes from
+// the same chooseConjunctive/scanConjunctive pair against the shared
+// memo, so it does not depend on whether the caller streams.
+func (rt *Runtime) executeParams(ctx context.Context, pq *PreparedQuery, q *sqlparser.Query, params []types.Value, sp *telemetry.Span, emitMid midEmitter) (*Response, error) {
+	bsp := sp.Child("bind+scan")
+	defer bsp.End()
+	plan := pq.prepPlan
+	if q != pq.prepQ {
+		var err error
+		plan, err = exec.Compile(q, pq.schema)
+		if err != nil {
+			return nil, err
+		}
+	}
+	conf := rt.confidenceFor(q)
+	paramsEq := sqlparser.ParamsEqual(params, pq.prepParams)
+
+	if pq.exact {
+		res, err := pq.base.baseMemo(ctx, rt, plan, pq.entry.Table, conf, pq.joins, paramsEq, bsp)
+		if err != nil {
+			return nil, err
+		}
+		d := Decision{UsedBase: true, Reason: "no bounds: exact execution on base table"}
+		d.ReadLatency = rt.latencyOfBase(pq.entry.Table.Blocks) + rt.broadcastCost(pq.joins)
+		rt.recordLevel(-1)
+		return &Response{Result: res, Decisions: []Decision{d}, SimLatency: d.Latency(), Confidence: conf}, nil
+	}
+
+	// §4.1.2: rewrite disjunctions into parallel conjunctive sub-queries.
+	disjuncts := types.SplitDisjuncts(plan.Pred)
+	if len(disjuncts) != len(pq.disjuncts) {
+		return nil, errTemplateMismatch
+	}
+	subs := make([]*exec.Plan, len(disjuncts))
+	lcs := make([]levelChoice, len(disjuncts))
+	for i, pred := range disjuncts {
+		subs[i] = plan.WithPred(pred)
+		lcs[i] = rt.chooseConjunctive(pq, pq.disjuncts[i], subs[i], q, conf)
+	}
+
+	if emitMid != nil {
+		if err := rt.streamIntermediates(ctx, pq, plan, subs, lcs, conf, paramsEq, bsp, emitMid); err != nil {
+			return nil, err
+		}
+	}
+
+	var fsp *telemetry.Span
+	if bsp != nil && emitMid != nil {
+		fsp = bsp.Child("refinement final")
+		fsp.Note("final")
+	}
+	scanSp := bsp
+	if fsp != nil {
+		scanSp = fsp
+	}
+	var parts []*exec.Result
+	var decisions []Decision
+	simLatency := 0.0
+	for i := range subs {
+		res, err := rt.scanConjunctive(ctx, pq, pq.disjuncts[i], subs[i], conf, paramsEq, lcs[i], scanSp)
+		if err != nil {
+			fsp.End()
+			return nil, err
+		}
+		parts = append(parts, res)
+		decisions = append(decisions, lcs[i].dec)
+		if l := lcs[i].dec.Latency(); l > simLatency {
+			simLatency = l // disjuncts execute in parallel
+		}
+	}
+	fsp.End()
+	return &Response{Result: mergeLimit(plan, parts), Decisions: decisions, SimLatency: simLatency, Confidence: conf}, nil
+}
+
+// mergeLimit merges the disjuncts' results and applies the plan's LIMIT.
+func mergeLimit(plan *exec.Plan, parts []*exec.Result) *exec.Result {
+	merged := exec.MergeResults(plan, parts)
+	if plan.Limit > 0 && len(merged.Groups) > plan.Limit {
+		// Copy-on-truncate: with one disjunct, merged IS the (possibly
+		// memoized, shared) disjunct result — never mutate it.
+		cp := *merged
+		cp.Groups = merged.Groups[:plan.Limit]
+		merged = &cp
+	}
+	return merged
 }
 
 // levelChoice is the scan-free half of executing one conjunctive

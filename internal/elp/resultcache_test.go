@@ -13,6 +13,7 @@ import (
 	"blinkdb/internal/sample"
 	"blinkdb/internal/sqlparser"
 	"blinkdb/internal/storage"
+	"blinkdb/internal/telemetry"
 )
 
 // stripResult removes the result-cache annotation from a response so
@@ -53,11 +54,11 @@ func TestResultCacheBitIdentity(t *testing.T) {
 	f, ref := resultRuntimes(t, 30000)
 	for _, src := range cacheQueries {
 		for rep := 0; rep < 3; rep++ {
-			want, err := ref.Run(parse(t, src))
+			want, err := ref.Run(context.Background(), parse(t, src), nil, nil)
 			if err != nil {
 				t.Fatalf("%q rep %d (ref): %v", src, rep, err)
 			}
-			got, err := f.rt.Run(parse(t, src))
+			got, err := f.rt.Run(context.Background(), parse(t, src), nil, nil)
 			if err != nil {
 				t.Fatalf("%q rep %d: %v", src, rep, err)
 			}
@@ -104,11 +105,11 @@ func TestResultCacheBitIdentity(t *testing.T) {
 func TestResultCacheHitSkipsAllWork(t *testing.T) {
 	f, _ := resultRuntimes(t, 30000)
 	const src = `SELECT COUNT(*) FROM sessions WHERE genre = 'western' ERROR WITHIN 25%`
-	if _, err := f.rt.Run(parse(t, src)); err != nil {
+	if _, err := f.rt.Run(context.Background(), parse(t, src), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := f.rt.Stats()
-	resp, err := f.rt.Run(parse(t, src))
+	resp, err := f.rt.Run(context.Background(), parse(t, src), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestResultCacheHitSkipsAllWork(t *testing.T) {
 	// New constant, same template: result miss, plan hit, exactly one
 	// executor run (the chosen view scan), zero probes.
 	before = after
-	resp, err = f.rt.Run(parse(t, `SELECT COUNT(*) FROM sessions WHERE genre = 'drama' ERROR WITHIN 25%`))
+	resp, err = f.rt.Run(context.Background(), parse(t, `SELECT COUNT(*) FROM sessions WHERE genre = 'drama' ERROR WITHIN 25%`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestResultCacheHitSkipsAllWork(t *testing.T) {
 func TestResultCacheCopyOnReturn(t *testing.T) {
 	f, _ := resultRuntimes(t, 20000)
 	const src = `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`
-	first, err := f.rt.Run(parse(t, src))
+	first, err := f.rt.Run(context.Background(), parse(t, src), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestResultCacheCopyOnReturn(t *testing.T) {
 	first.Decisions[0].Reason = "vandalized"
 	first.SimLatency = -1
 
-	second, err := f.rt.Run(parse(t, src))
+	second, err := f.rt.Run(context.Background(), parse(t, src), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,15 +187,15 @@ func TestResultCacheCopyOnReturn(t *testing.T) {
 func TestResultCacheEpochInvalidation(t *testing.T) {
 	f, ref := resultRuntimes(t, 30000)
 	const src = `SELECT COUNT(*) FROM sessions WHERE genre = 'western' ERROR WITHIN 25%`
-	if _, err := f.rt.Run(parse(t, src)); err != nil {
+	if _, err := f.rt.Run(context.Background(), parse(t, src), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A second warm answer that will NOT be re-queried: the sweep must
 	// still purge it.
-	if _, err := f.rt.Run(parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`)); err != nil {
+	if _, err := f.rt.Run(context.Background(), parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if resp, _ := f.rt.Run(parse(t, src)); resp.ResultCache != "hit" {
+	if resp, _ := f.rt.Run(context.Background(), parse(t, src), nil, nil); resp.ResultCache != "hit" {
 		t.Fatalf("warm query should hit, got %q", resp.ResultCache)
 	}
 	if got := f.rt.results.Len(); got != 2 {
@@ -220,14 +221,14 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := f.rt.Run(parse(t, src))
+	got, err := f.rt.Run(context.Background(), parse(t, src), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.ResultCache != "miss" {
 		t.Fatalf("post-refresh query served a stale answer: %q, want miss", got.ResultCache)
 	}
-	want, err := ref.Run(parse(t, src))
+	want, err := ref.Run(context.Background(), parse(t, src), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,20 +253,20 @@ func TestResultCacheTTLExpiry(t *testing.T) {
 
 	// Generous TTL: replays hit.
 	long := newFixture(t, 10000, Options{PlanCacheSize: 64, ResultCacheSize: 64, ResultCacheTTL: time.Hour})
-	if _, err := long.rt.Run(parse(t, src)); err != nil {
+	if _, err := long.rt.Run(context.Background(), parse(t, src), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if resp, _ := long.rt.Run(parse(t, src)); resp.ResultCache != "hit" {
+	if resp, _ := long.rt.Run(context.Background(), parse(t, src), nil, nil); resp.ResultCache != "hit" {
 		t.Fatalf("replay within the TTL should hit, got %q", resp.ResultCache)
 	}
 
 	// Tiny TTL: any answer is expired by the time it is replayed.
 	short := newFixture(t, 10000, Options{PlanCacheSize: 64, ResultCacheSize: 64, ResultCacheTTL: time.Millisecond})
-	if _, err := short.rt.Run(parse(t, src)); err != nil {
+	if _, err := short.rt.Run(context.Background(), parse(t, src), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond) // comfortably past the deadline
-	resp, err := short.rt.Run(parse(t, src))
+	resp, err := short.rt.Run(context.Background(), parse(t, src), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestResultCacheSingleflight(t *testing.T) {
 	// invocations (same dataset: newFixture is deterministic).
 	twin := newFixture(t, 20000, Options{PlanCacheSize: 64, ResultCacheSize: 64})
 	const src = `SELECT AVG(time) FROM sessions WHERE genre = 'western' GROUP BY os ERROR WITHIN 25%`
-	want, err := twin.rt.Run(parse(t, src))
+	want, err := twin.rt.Run(context.Background(), parse(t, src), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +304,7 @@ func TestResultCacheSingleflight(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			responses[g], errs[g] = f.rt.Run(parse(t, src))
+			responses[g], errs[g] = f.rt.Run(context.Background(), parse(t, src), nil, nil)
 		}(g)
 	}
 	close(start)
@@ -336,19 +337,21 @@ func TestResultCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestResultCacheStaleSharedWaiterReExecutes pins the epoch half of the
-// singleflight contract: a waiter whose query began AFTER an epoch
-// change must never be served a flight answer computed before it. The
-// test registers a fake in-flight leader whose (poisoned) answer carries
-// stale deps, lets a real Run join it as a waiter, and requires the
-// waiter to discard the shared answer and execute fresh.
+// TestResultCacheStaleSharedWaiterReExecutes pins the two fallbacks a
+// singleflight waiter takes instead of the shared answer, for both kinds
+// of caller. A fake in-flight leader holds the flight open while a real
+// Run joins it as a waiter, then lands either
+//   - a (poisoned) answer carrying stale deps: a waiter whose query began
+//     AFTER an epoch change must never be served a flight answer computed
+//     before it, or
+//   - context.Canceled: the leader's cancellation is not the waiter's, and
+//     a waiter with a live context still owes its caller an answer.
+//
+// Either way the waiter must execute privately — streaming waiters
+// included, ending their session with exactly one final refinement — and
+// answer exactly as the result-cache-free pipeline does.
 func TestResultCacheStaleSharedWaiterReExecutes(t *testing.T) {
-	f, ref := resultRuntimes(t, 20000)
 	const src = `SELECT COUNT(*) FROM sessions WHERE genre = 'western' ERROR WITHIN 25%`
-	q := parse(t, src)
-	key, params := sqlparser.Normalize(q)
-	rkey := key + "\x1e" + sqlparser.ParamsKey(params)
-
 	stale := &resultEntry{
 		resp: &Response{
 			Result:    &exec.Result{Groups: []exec.Group{{}}},
@@ -357,52 +360,97 @@ func TestResultCacheStaleSharedWaiterReExecutes(t *testing.T) {
 		note: "miss",
 		deps: []tableDep{{table: "sessions", epoch: 999999}}, // ≠ current: stale
 	}
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var leaderWG sync.WaitGroup
-	leaderWG.Add(1)
-	go func() { // fake leader holding the flight open
-		defer leaderWG.Done()
-		f.rt.flights.Do(rkey, func() (*resultEntry, error) {
-			close(started) // the flight is registered before fn runs
-			<-release
-			return stale, nil
-		})
-	}()
-	<-started
-
-	type outcome struct {
-		resp *Response
-		err  error
+	leaders := []struct {
+		name  string
+		ent   *resultEntry
+		err   error
+		retry string // the span the waiter's private pass records
+	}{
+		{"stale", stale, nil, "stale-shared re-execute"},
+		{"cancelled", nil, context.Canceled, "cancelled-leader re-execute"},
 	}
-	done := make(chan outcome, 1)
-	go func() {
-		resp, err := f.rt.Run(parse(t, src))
-		done <- outcome{resp, err}
-	}()
-	time.Sleep(50 * time.Millisecond) // let the waiter join the flight
-	close(release)
-	leaderWG.Wait()
-	out := <-done
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	for _, d := range out.resp.Decisions {
-		if strings.Contains(d.Reason, "poisoned") {
-			t.Fatal("waiter served the stale flight answer")
+	for _, leader := range leaders {
+		for _, streaming := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/streaming=%v", leader.name, streaming), func(t *testing.T) {
+				f, ref := resultRuntimes(t, 20000)
+				q := parse(t, src)
+				key, params := sqlparser.Normalize(q)
+				rkey := key + "\x1e" + sqlparser.ParamsKey(params)
+
+				started := make(chan struct{})
+				release := make(chan struct{})
+				var leaderWG sync.WaitGroup
+				leaderWG.Add(1)
+				go func() { // fake leader holding the flight open
+					defer leaderWG.Done()
+					f.rt.flights.Do(rkey, func() (*resultEntry, error) {
+						close(started) // the flight is registered before fn runs
+						<-release
+						return leader.ent, leader.err
+					})
+				}()
+				<-started
+
+				var refs []Refinement
+				var emit func(Refinement) error
+				if streaming {
+					emit = func(r Refinement) error {
+						refs = append(refs, r)
+						return nil
+					}
+				}
+				type outcome struct {
+					resp *Response
+					err  error
+				}
+				tr := telemetry.New("waiter")
+				done := make(chan outcome, 1)
+				go func() {
+					resp, err := f.rt.Run(context.Background(), q, tr, emit)
+					done <- outcome{resp, err}
+				}()
+				for deadline := time.Now().Add(10 * time.Second); f.rt.flights.Waiters(rkey) < 1; {
+					if time.Now().After(deadline) {
+						t.Fatal("the waiter never joined the flight")
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+				close(release)
+				leaderWG.Wait()
+				out := <-done
+				if out.err != nil {
+					t.Fatal(out.err)
+				}
+				tr.Finish()
+				retried := false
+				tr.Walk(func(s *telemetry.Span, _ int) { retried = retried || s.Name() == leader.retry })
+				if !retried {
+					t.Fatalf("waiter took no %q pass:\n%s", leader.retry, tr.Render())
+				}
+				for _, d := range out.resp.Decisions {
+					if strings.Contains(d.Reason, "poisoned") {
+						t.Fatal("waiter served the stale flight answer")
+					}
+				}
+				if out.resp.ResultCache == "shared" {
+					t.Fatal("a re-executed answer must not be reported as shared")
+				}
+				want, err := ref.Run(context.Background(), parse(t, src), nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(stripAll(want), stripAll(out.resp)) {
+					t.Errorf("re-executed answer diverged from the fresh pipeline\nwant %+v\ngot  %+v",
+						stripAll(want), stripAll(out.resp))
+				}
+				if streaming {
+					checkSession(t, refs)
+					if final := refs[len(refs)-1]; final.Resp != out.resp {
+						t.Error("the final refinement is not the answer Run returned")
+					}
+				}
+			})
 		}
-	}
-	if out.resp.ResultCache == "shared" {
-		t.Fatal("stale flight answer must not be reported as shared")
-	}
-	want, err := ref.Run(parse(t, src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stripAll(want), stripAll(out.resp)) {
-		t.Errorf("post-stale-flight answer diverged from the fresh pipeline\nwant %+v\ngot  %+v",
-			stripAll(want), stripAll(out.resp))
 	}
 }
 
@@ -416,11 +464,11 @@ func TestResultCacheSecondLeaderServesCachedAnswer(t *testing.T) {
 	q := parse(t, src)
 	key, params := sqlparser.Normalize(q)
 	rkey := key + "\x1e" + sqlparser.ParamsKey(params)
-	if _, err := f.rt.Run(q); err != nil { // warms the cache
+	if _, err := f.rt.Run(context.Background(), q, nil, nil); err != nil { // warms the cache
 		t.Fatal(err)
 	}
 	before := f.rt.Stats()
-	ent, cached, err := f.rt.resultLeader(context.Background(), q, key, params, rkey, nil)
+	ent, cached, err := f.rt.resultLeader(context.Background(), q, key, params, rkey, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +497,7 @@ func TestResultCacheConcurrentMixedKeysWithRefresh(t *testing.T) {
 	}
 	wants := make([]*Response, len(srcs))
 	for i, src := range srcs {
-		w, err := ref.Run(parse(t, src))
+		w, err := ref.Run(context.Background(), parse(t, src), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,7 +539,7 @@ func TestResultCacheConcurrentMixedKeysWithRefresh(t *testing.T) {
 			defer queriers.Done()
 			for i := 0; i < 15; i++ {
 				k := (i + g) % len(srcs)
-				resp, err := f.rt.Run(parse(t, srcs[k]))
+				resp, err := f.rt.Run(context.Background(), parse(t, srcs[k]), nil, nil)
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d: %v", g, err)
 					return

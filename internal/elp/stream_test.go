@@ -16,7 +16,7 @@ import (
 func collect(t *testing.T, rt *Runtime, q *sqlparser.Query) []Refinement {
 	t.Helper()
 	var refs []Refinement
-	if err := rt.RunStream(context.Background(), q, func(r Refinement) error {
+	if _, err := rt.Run(context.Background(), q, nil, func(r Refinement) error {
 		refs = append(refs, r)
 		return nil
 	}); err != nil {
@@ -78,7 +78,7 @@ func TestStreamFinalBitIdentical(t *testing.T) {
 	for _, tc := range templates {
 		t.Run(tc.name, func(t *testing.T) {
 			stream, serial := build(tc.join), build(tc.join)
-			want, err := serial.rt.Run(parse(t, tc.src))
+			want, err := serial.rt.Run(context.Background(), parse(t, tc.src), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +140,7 @@ func TestStreamRefinementChain(t *testing.T) {
 func TestStreamResultCacheHitSingleFinal(t *testing.T) {
 	f, _ := resultRuntimes(t, 20000)
 	q := `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`
-	if _, err := f.rt.Run(parse(t, q)); err != nil {
+	if _, err := f.rt.Run(context.Background(), parse(t, q), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := f.rt.Stats()
@@ -183,7 +183,7 @@ func TestStreamStampede(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			errs[g] = f.rt.RunStream(context.Background(), parse(t, src), func(r Refinement) error {
+			_, errs[g] = f.rt.Run(context.Background(), parse(t, src), nil, func(r Refinement) error {
 				sessions[g] = append(sessions[g], r)
 				return nil
 			})
@@ -226,7 +226,7 @@ func TestStreamDeltaReuseOff(t *testing.T) {
 	stream := newFixture(t, 20000, Options{DeltaReuse: &off})
 	serial := newFixture(t, 20000, Options{DeltaReuse: &off})
 	const src = `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`
-	want, err := serial.rt.Run(parse(t, src))
+	want, err := serial.rt.Run(context.Background(), parse(t, src), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,14 +248,14 @@ func TestStreamDoesNotPerturbNonStreaming(t *testing.T) {
 	pure := newFixture(t, 20000, Options{})
 	const src = `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`
 	collect(t, mixed.rt, parse(t, src))
-	got, err := mixed.rt.Run(parse(t, src))
+	got, err := mixed.rt.Run(context.Background(), parse(t, src), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pure.rt.Run(parse(t, src)); err != nil {
+	if _, err := pure.rt.Run(context.Background(), parse(t, src), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	want, err := pure.rt.Run(parse(t, src))
+	want, err := pure.rt.Run(context.Background(), parse(t, src), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestStreamDoesNotPerturbNonStreaming(t *testing.T) {
 func TestStreamSpanOrdering(t *testing.T) {
 	f := newFixture(t, 20000, Options{})
 	tr := telemetry.New("stream")
-	err := f.rt.RunStreamTraced(context.Background(), parse(t,
+	_, err := f.rt.Run(context.Background(), parse(t,
 		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`), tr,
 		func(Refinement) error { return nil })
 	if err != nil {
@@ -311,8 +311,8 @@ func TestStreamCancelBetweenRefinements(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var got []Refinement
-	err := f.rt.RunStream(ctx, parse(t,
-		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`),
+	_, err := f.rt.Run(ctx, parse(t,
+		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`), nil,
 		func(r Refinement) error {
 			got = append(got, r)
 			cancel()
@@ -340,7 +340,7 @@ func TestStreamAlreadyCancelled(t *testing.T) {
 	f := newFixture(t, 5000, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := f.rt.RunStream(ctx, parse(t, `SELECT COUNT(*) FROM sessions ERROR WITHIN 10%`),
+	_, err := f.rt.Run(ctx, parse(t, `SELECT COUNT(*) FROM sessions ERROR WITHIN 10%`), nil,
 		func(Refinement) error {
 			t.Error("emit called despite dead context")
 			return nil

@@ -1,6 +1,7 @@
 package elp
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -50,7 +51,7 @@ func TestTraceSpanStructure(t *testing.T) {
 	q := parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 10% AT CONFIDENCE 95%`)
 
 	cold := telemetry.New("query")
-	if _, err := f.rt.RunTraced(q, cold); err != nil {
+	if _, err := f.rt.Run(context.Background(), q, cold, nil); err != nil {
 		t.Fatal(err)
 	}
 	cold.Finish()
@@ -74,7 +75,7 @@ func TestTraceSpanStructure(t *testing.T) {
 	}
 
 	warm := telemetry.New("query")
-	if _, err := f.rt.RunTraced(q, warm); err != nil {
+	if _, err := f.rt.Run(context.Background(), q, warm, nil); err != nil {
 		t.Fatal(err)
 	}
 	warm.Finish()
@@ -94,11 +95,11 @@ func TestTraceSpanStructure(t *testing.T) {
 // the result cache but hits the plan cache (no probes, no prepare).
 func TestPlanCacheHitTrace(t *testing.T) {
 	f := newFixture(t, 20000, Options{PlanCacheSize: 8, ResultCacheSize: 8})
-	if _, err := f.rt.Run(parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 10%`)); err != nil {
+	if _, err := f.rt.Run(context.Background(), parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 10%`), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	tr := telemetry.New("query")
-	if _, err := f.rt.RunTraced(parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city2' ERROR WITHIN 10%`), tr); err != nil {
+	if _, err := f.rt.Run(context.Background(), parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city2' ERROR WITHIN 10%`), tr, nil); err != nil {
 		t.Fatal(err)
 	}
 	tr.Finish()
@@ -133,12 +134,12 @@ func TestTelemetryOnOffBitIdentical(t *testing.T) {
 	}
 	for _, src := range queries {
 		tr := telemetry.New("query")
-		a, err := on.rt.RunTraced(parse(t, src), tr)
+		a, err := on.rt.Run(context.Background(), parse(t, src), tr, nil)
 		tr.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := off.rt.Run(parse(t, src))
+		b, err := off.rt.Run(context.Background(), parse(t, src), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,11 +162,11 @@ func TestRegistryObservations(t *testing.T) {
 	bounded := `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 10%`
 	exact := `SELECT COUNT(*) FROM sessions`
 	for i := 0; i < 3; i++ {
-		if _, err := f.rt.Run(parse(t, bounded)); err != nil {
+		if _, err := f.rt.Run(context.Background(), parse(t, bounded), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := f.rt.Run(parse(t, exact)); err != nil {
+	if _, err := f.rt.Run(context.Background(), parse(t, exact), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -211,7 +212,7 @@ func TestRegistryObservations(t *testing.T) {
 // magnitude is pinned).
 func TestPredictedBoundDecision(t *testing.T) {
 	f := newFixture(t, 20000, Options{})
-	resp, err := f.rt.Run(parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 10%`))
+	resp, err := f.rt.Run(context.Background(), parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 10%`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestPredictedBoundDecision(t *testing.T) {
 		t.Errorf("predicted bound %g wildly off observed %g", d.PredictedBound, obs)
 	}
 
-	exact, err := f.rt.Run(parse(t, `SELECT COUNT(*) FROM sessions`))
+	exact, err := f.rt.Run(context.Background(), parse(t, `SELECT COUNT(*) FROM sessions`), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,12 +241,12 @@ func TestPredictedBoundDecision(t *testing.T) {
 func TestStatsDelta(t *testing.T) {
 	f := newFixture(t, 15000, Options{PlanCacheSize: 8, ResultCacheSize: 8})
 	q := `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 10%`
-	if _, err := f.rt.Run(parse(t, q)); err != nil {
+	if _, err := f.rt.Run(context.Background(), parse(t, q), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	base := f.rt.Stats()
 	for i := 0; i < 3; i++ {
-		if _, err := f.rt.Run(parse(t, q)); err != nil {
+		if _, err := f.rt.Run(context.Background(), parse(t, q), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,7 +264,7 @@ func TestStatsDelta(t *testing.T) {
 	// A fresh constant executes (plan-cache hit, result-cache miss): its
 	// window must carry exactly one level count.
 	base = f.rt.Stats()
-	if _, err := f.rt.Run(parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city2' ERROR WITHIN 10%`)); err != nil {
+	if _, err := f.rt.Run(context.Background(), parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city2' ERROR WITHIN 10%`), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	d = f.rt.Stats().Delta(base)
@@ -296,7 +297,7 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 		go func() {
 			defer runners.Done()
 			for i := 0; i < queries; i++ {
-				if _, err := f.rt.Run(parse(t, q)); err != nil {
+				if _, err := f.rt.Run(context.Background(), parse(t, q), nil, nil); err != nil {
 					t.Error(err)
 					return
 				}

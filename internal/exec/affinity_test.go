@@ -44,14 +44,14 @@ func TestAffinityEquivalence(t *testing.T) {
 			for _, src := range equivalenceQueries {
 				p := compile(t, src, tab.Schema)
 				in := FromTable(tab)
-				want := RunParallelSched(p, in, 0.95, 1, SchedBlind)
+				want := runOpt(p, in, Options{Confidence: 0.95, Workers: 1, Sched: SchedBlind})
 				for _, w := range []int{1, 2, 8, 1 << 10} {
-					got := RunParallelSched(p, in, 0.95, w, SchedNodeAffine)
+					got := runOpt(p, in, Options{Confidence: 0.95, Workers: w, Sched: SchedNodeAffine})
 					if !reflect.DeepEqual(want, got) {
 						t.Fatalf("rpb=%d workers=%d query=%q: affine result diverged from blind\nwant %+v\ngot  %+v",
 							rowsPerBlock, w, src, want, got)
 					}
-					blind := RunParallelSched(p, in, 0.95, w, SchedBlind)
+					blind := runOpt(p, in, Options{Confidence: 0.95, Workers: w, Sched: SchedBlind})
 					if !reflect.DeepEqual(want, blind) {
 						t.Fatalf("rpb=%d workers=%d query=%q: blind result diverged across workers",
 							rowsPerBlock, w, src)
@@ -89,9 +89,9 @@ func TestAffinityJoinEquivalence(t *testing.T) {
 	p := compile(t, `SELECT COUNT(*), AVG(sessiontime) FROM sessions WHERE code < 700 GROUP BY region`, combined)
 	in := FromTable(fact)
 
-	want := RunJoinParallelSched(p, in, []JoinSpec{spec}, 0.95, 1, SchedBlind)
+	want := runOpt(p, in, Options{Confidence: 0.95, Workers: 1, Sched: SchedBlind, Joins: []JoinSpec{spec}})
 	for _, w := range []int{1, 2, 8} {
-		got := RunJoinParallelSched(p, in, []JoinSpec{spec}, 0.95, w, SchedNodeAffine)
+		got := runOpt(p, in, Options{Confidence: 0.95, Workers: w, Sched: SchedNodeAffine, Joins: []JoinSpec{spec}})
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d: affine join result diverged", w)
 		}
@@ -135,9 +135,9 @@ func TestAffinityRandomPlacement(t *testing.T) {
 	tab := randomPlacementTable(t, 21, 5000)
 	p := compile(t, `SELECT SUM(sessiontime), MEDIAN(sessiontime) FROM sessions WHERE code < 800 GROUP BY city`, tab.Schema)
 	in := FromBlocks(tab.Schema, tab.Blocks, 400)
-	want := RunParallelSched(p, in, 0.95, 1, SchedBlind)
+	want := runOpt(p, in, Options{Confidence: 0.95, Workers: 1, Sched: SchedBlind})
 	for _, w := range []int{2, 3, 8} {
-		if got := RunParallelSched(p, in, 0.95, w, SchedNodeAffine); !reflect.DeepEqual(want, got) {
+		if got := runOpt(p, in, Options{Confidence: 0.95, Workers: w, Sched: SchedNodeAffine}); !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d: affine result diverged under random placement", w)
 		}
 	}
@@ -152,7 +152,7 @@ func BenchmarkRunParallelAffine(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				RunParallelSched(p, in, 0.95, w, SchedNodeAffine)
+				runOpt(p, in, Options{Confidence: 0.95, Workers: w, Sched: SchedNodeAffine})
 			}
 			b.SetBytes(int64(col.Bytes()))
 		})
@@ -168,7 +168,7 @@ func BenchmarkRunParallelBlind(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				RunParallelSched(p, in, 0.95, w, SchedBlind)
+				runOpt(p, in, Options{Confidence: 0.95, Workers: w, Sched: SchedBlind})
 			}
 			b.SetBytes(int64(col.Bytes()))
 		})

@@ -10,8 +10,8 @@
 // row is touched), and MergePartials folds the partials in block-index
 // order. Because the partition depends only on the block count, the fold
 // order — and hence every floating-point accumulation — is identical for
-// any worker count: RunParallel(…, 8) returns bit-for-bit the same Result
-// as RunParallel(…, 1).
+// any worker count: Run with Workers: 8 returns bit-for-bit the same
+// Result as Run with Workers: 1.
 package exec
 
 import (
@@ -756,46 +756,67 @@ func ScanShards(blocks []*storage.Block) ([]storage.BlockRange, []storage.NodeSh
 	return storage.PartitionBlocksByNode(blocks, maxPartials)
 }
 
-// Run executes the plan over the input at the given confidence level with
-// a single worker. It is exactly RunParallel(p, in, confidence, 1).
-func Run(p *Plan, in Input, confidence float64) *Result {
-	return RunParallel(p, in, confidence, 1)
+// Options are the executor's per-call settings. Only Confidence is
+// required: the zero value of every other field is a single-worker scan
+// under the default node-affine schedule, with no joins and no span.
+type Options struct {
+	// Confidence is the CI level of the estimates (e.g. 0.95).
+	Confidence float64
+	// Workers bounds the scan goroutines; ≤ 1 scans on the caller's
+	// goroutine.
+	Workers int
+	// Sched selects how scan ranges are assigned to workers.
+	Sched Sched
+	// Joins, when non-empty, hash-joins these broadcast dimension tables
+	// onto the fact side; the plan must then be compiled against the
+	// combined schema (JoinedSchema).
+	Joins []JoinSpec
+	// Span, when non-nil, receives the scan's span tree: the join-index
+	// build, one child per claim unit (shard or range) and the merge.
+	Span *telemetry.Span
 }
 
-// RunParallelSchedCtx is RunParallelSchedTraced with a cancellation
-// context: workers re-check ctx between claim units (one scan range, or
-// one node shard's range under the affine schedule), so a cancelled
-// context stops the scan within one range's worth of work. A context
-// cancelled before the call scans nothing. On cancellation the partial
-// merge is abandoned and ctx.Err() is returned; a nil error guarantees
-// the Result is the same bit-identical answer the uncancellable
-// entry points produce.
-func RunParallelSchedCtx(ctx context.Context, p *Plan, in Input, confidence float64, workers int, sched Sched, sp *telemetry.Span) (*Result, error) {
-	return runRanges(ctx, p, p.runtime(), in, confidence, workers, sched, nil, sp)
-}
-
-// RunParallel executes the plan over the input using up to workers
-// goroutines under the default node-affine schedule. The block list is
-// split into contiguous ranges whose boundaries depend only on the block
-// count; each range produces one Partial, and MergePartials folds them in
-// block order — so the Result is bit-identical for every workers value
-// (1, 8, or more workers than blocks) and for either schedule.
-func RunParallel(p *Plan, in Input, confidence float64, workers int) *Result {
-	return RunParallelSched(p, in, confidence, workers, SchedNodeAffine)
-}
-
-// RunParallelSched is RunParallel with an explicit scheduling mode.
-func RunParallelSched(p *Plan, in Input, confidence float64, workers int, sched Sched) *Result {
-	res, _ := runRanges(context.Background(), p, p.runtime(), in, confidence, workers, sched, nil, nil)
-	return res
-}
-
-// RunParallelSchedTraced is RunParallelSched with a telemetry span under
-// which the scan records per-unit (shard or range) child spans and the
-// merge phase. sp may be nil (identical to RunParallelSched).
-func RunParallelSchedTraced(p *Plan, in Input, confidence float64, workers int, sched Sched, sp *telemetry.Span) *Result {
-	res, _ := runRanges(context.Background(), p, p.runtime(), in, confidence, workers, sched, nil, sp)
-	return res
+// Run executes the plan over the input. The block list is split into
+// contiguous ranges whose boundaries depend only on the block count; each
+// range produces one Partial, and the partials fold in block order — so
+// the Result is bit-identical for every Workers value (1, 8, or more
+// workers than blocks) and either Sched.
+//
+// With Joins, the fact side streams from in (a base table or a sample
+// view — rates carry through unchanged, since dimensions are unsampled,
+// §2.1) and dimension rows are hash-joined in memory; the join indexes
+// are built once up front and shared read-only across the workers.
+//
+// Workers re-check ctx between claim units (one scan range, or one node
+// shard's range under the affine schedule), so a cancelled context stops
+// the scan within one range's worth of work, and a context cancelled
+// before the call scans nothing. On cancellation the partial merge is
+// abandoned and ctx.Err() is returned; a nil error guarantees the
+// bit-identical Result. With a context that is never cancelled the error
+// is always nil.
+func Run(ctx context.Context, p *Plan, in Input, opt Options) (*Result, error) {
+	if len(opt.Joins) == 0 {
+		return runRanges(ctx, p, in, opt, nil)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var buildSp *telemetry.Span
+	if opt.Span != nil {
+		buildSp = opt.Span.Child("join-index build")
+	}
+	jr := newJoinRuntime(p, opt.Joins)
+	buildSp.End()
+	joined := Input{
+		Schema: p.Schema,
+		Blocks: in.Blocks,
+		Rate:   in.Rate,
+	}
+	// The scan drives expansion through jr: columnar fact blocks take the
+	// late-materialization path (fact predicate first, probe keys straight
+	// from the columns, materialise only matched rows), row blocks expand
+	// into the pooled buffer.
+	return runRanges(ctx, p, joined, opt, jr)
 }
 
 // runRanges is the shared scan driver for plain and join execution. The
@@ -804,18 +825,16 @@ func RunParallelSchedTraced(p *Plan, in Input, confidence float64, workers int, 
 // range's Partial lands at its partition index and MergePartials folds in
 // range order, so every float accumulation — and hence the Result — is
 // identical across schedules and worker counts.
-// Span bookkeeping (sp non-nil) adds one child span per claim unit plus a
-// merge span; with sp nil the scan performs no telemetry work at all.
-// Cancellation is checked per claim unit and per range within a shard;
-// once ctx is cancelled no further range is scanned and ctx.Err() is
-// returned with a nil Result. The background-context entry points above
-// can therefore never observe an error.
-func runRanges(ctx context.Context, p *Plan, rt *planRuntime, in Input, confidence float64, workers int,
-	sched Sched, jr *joinRuntime, sp *telemetry.Span) (*Result, error) {
-
+// Span bookkeeping (opt.Span non-nil) adds one child span per claim unit
+// plus a merge span; with no span the scan performs no telemetry work at
+// all. Cancellation is checked per claim unit and per range within a
+// shard; once ctx is cancelled no further range is scanned and ctx.Err()
+// is returned with a nil Result.
+func runRanges(ctx context.Context, p *Plan, in Input, opt Options, jr *joinRuntime) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	rt, workers, confidence, sp := p.runtime(), opt.Workers, opt.Confidence, opt.Span
 	// Affine scheduling only pays off while every worker can own a
 	// shard; with fewer shards (simulated nodes) than workers it would
 	// idle cores that per-range claiming keeps busy, so fall back. Either
@@ -823,7 +842,7 @@ func runRanges(ctx context.Context, p *Plan, rt *planRuntime, in Input, confiden
 	// exactly once.
 	var ranges []storage.BlockRange
 	var shards []storage.NodeShard
-	if sched == SchedNodeAffine && workers > 1 {
+	if opt.Sched == SchedNodeAffine && workers > 1 {
 		var byNode []storage.NodeShard
 		ranges, byNode = storage.PartitionBlocksByNode(in.Blocks, maxPartials)
 		if len(byNode) >= workers {

@@ -100,7 +100,7 @@ func TestJoinExactMatchesNestedLoop(t *testing.T) {
 		`SELECT COUNT(*), SUM(watchtime) FROM views JOIN media ON objectid = objectid WHERE genre = 'western' GROUP BY city`,
 		fact, map[string]*storage.Table{"media": dim})
 
-	got := RunJoin(plan, FromTable(fact), specs, 0.95)
+	got := runOpt(plan, FromTable(fact), Options{Confidence: 0.95, Joins: specs})
 
 	// Nested-loop reference.
 	genreOf := map[int64]string{}
@@ -141,7 +141,7 @@ func TestJoinOnSampledFactUnbiased(t *testing.T) {
 		`SELECT COUNT(*) FROM views JOIN media ON objectid = objectid WHERE genre = 'drama'`,
 		fact, map[string]*storage.Table{"media": dim})
 
-	exact := RunJoin(plan, FromTable(fact), specs, 0.95)
+	exact := runOpt(plan, FromTable(fact), Options{Confidence: 0.95, Joins: specs})
 	truth := exact.Groups[0].Estimates[0].Point
 
 	// Stratified sample on the join key (§2.1 case (i)).
@@ -149,7 +149,7 @@ func TestJoinOnSampledFactUnbiased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx := RunJoin(plan, FromView(fam.View(0)), specs, 0.95)
+	approx := runOpt(plan, FromView(fam.View(0)), Options{Confidence: 0.95, Joins: specs})
 	e := approx.Groups[0].Estimates[0]
 	if math.Abs(e.Point-truth) > math.Max(3*e.StdErr, truth*0.1) {
 		t.Errorf("sampled join count %g vs truth %g (stderr %g)", e.Point, truth, e.StdErr)
@@ -174,7 +174,7 @@ func TestMultiWayJoin(t *testing.T) {
 	plan, specs := compileJoinQuery(t,
 		`SELECT COUNT(*) FROM views JOIN media ON objectid = objectid JOIN ratings ON genre = genre WHERE kids = TRUE`,
 		fact, map[string]*storage.Table{"media": media, "ratings": ratings})
-	got := RunJoin(plan, FromTable(fact), specs, 0.95)
+	got := runOpt(plan, FromTable(fact), Options{Confidence: 0.95, Joins: specs})
 
 	// comedy objects are ids ≡ 2 mod 3.
 	want := 0.0
@@ -195,7 +195,7 @@ func TestJoinDropsUnmatchedRows(t *testing.T) {
 	plan, specs := compileJoinQuery(t,
 		`SELECT COUNT(*) FROM views JOIN media ON objectid = objectid`,
 		fact, map[string]*storage.Table{"media": dim})
-	got := RunJoin(plan, FromTable(fact), specs, 0.95)
+	got := runOpt(plan, FromTable(fact), Options{Confidence: 0.95, Joins: specs})
 	want := 0.0
 	fact.Scan(func(r types.Row, _ storage.RowMeta) bool {
 		if r[0].I < 10 {
@@ -239,6 +239,6 @@ func BenchmarkJoin(b *testing.B) {
 	in := FromTable(fact)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RunJoin(plan, in, specs, 0.95)
+		runOpt(plan, in, Options{Confidence: 0.95, Joins: specs})
 	}
 }

@@ -70,9 +70,9 @@ func TestParallelEquivalence(t *testing.T) {
 					FromTable(tab),
 					FromBlocks(tab.Schema, tab.Blocks, 400), // weighted rates
 				} {
-					want := RunParallel(p, in, 0.95, 1)
+					want := runOpt(p, in, Options{Confidence: 0.95, Workers: 1})
 					for _, w := range workerCounts {
-						got := RunParallel(p, in, 0.95, w)
+						got := runOpt(p, in, Options{Confidence: 0.95, Workers: w})
 						if !reflect.DeepEqual(want, got) {
 							t.Fatalf("seed=%d rpb=%d workers=%d query=%q: parallel result diverged\nwant %+v\ngot  %+v",
 								seed, rowsPerBlock, w, src, want, got)
@@ -127,7 +127,7 @@ func TestRunPartialMergeMatchesRun(t *testing.T) {
 	in := FromTable(tab)
 	for _, src := range equivalenceQueries {
 		p := compile(t, src, tab.Schema)
-		want := Run(p, in, 0.95)
+		want := runOpt(p, in, Options{Confidence: 0.95})
 		for _, split := range [][]int{
 			{0, len(tab.Blocks)},                      // one partial
 			{0, 1, 2, len(tab.Blocks)},                // uneven
@@ -206,12 +206,12 @@ func TestParallelJoinEquivalence(t *testing.T) {
 	p := compile(t, `SELECT COUNT(*), AVG(sessiontime) FROM sessions GROUP BY region`, combined)
 	spec := JoinSpec{Dim: dim, LeftCol: 0, RightCol: 0}
 	in := FromTable(tab)
-	want := RunJoinParallel(p, in, []JoinSpec{spec}, 0.95, 1)
+	want := runOpt(p, in, Options{Confidence: 0.95, Workers: 1, Joins: []JoinSpec{spec}})
 	if len(want.Groups) != 3 {
 		t.Fatalf("join groups = %d, want 3 (east/south/west)", len(want.Groups))
 	}
 	for _, w := range []int{2, 4, 8, 1 << 10} {
-		got := RunJoinParallel(p, in, []JoinSpec{spec}, 0.95, w)
+		got := runOpt(p, in, Options{Confidence: 0.95, Workers: w, Joins: []JoinSpec{spec}})
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d: join result diverged", w)
 		}
@@ -238,7 +238,7 @@ func TestScanPruningSkipsBlocks(t *testing.T) {
 	}
 	p := compile(t, `SELECT COUNT(*), SUM(v) FROM clustered WHERE day >= 450 AND day < 550`, schema)
 	for _, w := range []int{1, 4} {
-		res := RunParallel(p, FromTable(tab), 0.95, w)
+		res := runOpt(p, FromTable(tab), Options{Confidence: 0.95, Workers: w})
 		// Only blocks 4 and 5 can overlap [450, 550).
 		if res.RowsScanned != 200 {
 			t.Errorf("workers=%d: RowsScanned = %d, want 200 (pruned blocks must not be read)", w, res.RowsScanned)
@@ -335,7 +335,7 @@ func BenchmarkRunParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				RunParallel(p, in, 0.95, w)
+				runOpt(p, in, Options{Confidence: 0.95, Workers: w})
 			}
 			b.SetBytes(int64(tab.Bytes()))
 		})

@@ -116,13 +116,13 @@ func TestThreeWayEquivalence(t *testing.T) {
 	}
 	for _, src := range queries {
 		p := compile(t, src, row.Schema)
-		want := RunParallel(p, FromTable(row), 0.95, 1)
+		want := runOpt(p, FromTable(row), Options{Confidence: 0.95, Workers: 1})
 		for li, leg := range []*storage.Table{plain, rle} {
 			for _, tn := range tunings {
 				pt := *p
 				pt.Tuning = tn
 				for _, w := range []int{1, 2, 8} {
-					got := RunParallel(&pt, FromTable(leg), 0.95, w)
+					got := runOpt(&pt, FromTable(leg), Options{Confidence: 0.95, Workers: w})
 					if !reflect.DeepEqual(want, got) {
 						t.Fatalf("leg=%d tuning=%+v workers=%d query=%q: diverged\nwant %+v\ngot  %+v",
 							li, tn, w, src, want, got)
@@ -131,8 +131,8 @@ func TestThreeWayEquivalence(t *testing.T) {
 			}
 		}
 		// Weighted-rate variant (per-row rates through FromBlocks).
-		wantW := RunParallel(p, FromBlocks(row.Schema, row.Blocks, 150), 0.95, 1)
-		gotW := RunParallel(p, FromBlocks(rle.Schema, rle.Blocks, 150), 0.95, 4)
+		wantW := runOpt(p, FromBlocks(row.Schema, row.Blocks, 150), Options{Confidence: 0.95, Workers: 1})
+		gotW := runOpt(p, FromBlocks(rle.Schema, rle.Blocks, 150), Options{Confidence: 0.95, Workers: 4})
 		if !reflect.DeepEqual(wantW, gotW) {
 			t.Fatalf("weighted query=%q: diverged", src)
 		}
@@ -174,13 +174,13 @@ func TestThreeWayJoinEquivalence(t *testing.T) {
 	}
 	for _, src := range queries {
 		p := compile(t, src, combined)
-		want := RunJoinParallel(p, FromTable(row), []JoinSpec{spec}, 0.95, 1)
+		want := runOpt(p, FromTable(row), Options{Confidence: 0.95, Workers: 1, Joins: []JoinSpec{spec}})
 		for li, leg := range []*storage.Table{plain, rle} {
 			for _, tn := range []Tuning{{}, {NoLateMaterialization: true}} {
 				pt := *p
 				pt.Tuning = tn
 				for _, w := range []int{1, 2, 8} {
-					got := RunJoinParallel(&pt, FromTable(leg), []JoinSpec{spec}, 0.95, w)
+					got := runOpt(&pt, FromTable(leg), Options{Confidence: 0.95, Workers: w, Joins: []JoinSpec{spec}})
 					if !reflect.DeepEqual(want, got) {
 						t.Fatalf("leg=%d tuning=%+v workers=%d query=%q: join diverged\nwant %+v\ngot  %+v",
 							li, tn, w, src, want, got)
@@ -401,10 +401,10 @@ func TestTristateZoneSkipsEval(t *testing.T) {
 	}
 	// And the shortcut must not change results (belt over the equivalence
 	// suite's braces, on this exact plan).
-	want := RunParallel(p, FromTable(tab), 0.95, 1)
+	want := runOpt(p, FromTable(tab), Options{Confidence: 0.95, Workers: 1})
 	pNo := *p
 	pNo.Tuning.NoTristateZones = true
-	got := RunParallel(&pNo, FromTable(tab), 0.95, 1)
+	got := runOpt(&pNo, FromTable(tab), Options{Confidence: 0.95, Workers: 1})
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("three-state zones changed the result")
 	}
@@ -439,7 +439,7 @@ func TestZoneImpliesPredGuards(t *testing.T) {
 		t.Error("all-true claimed over a NaN-bearing column")
 	}
 	p := compile(t, `SELECT COUNT(*) FROM guards WHERE f < 100`, schema)
-	res := Run(p, FromTable(tab), 0.95)
+	res := runOpt(p, FromTable(tab), Options{Confidence: 0.95})
 	if res.RowsMatched != 63 { // NaN row fails f < 100
 		t.Errorf("RowsMatched = %d, want 63", res.RowsMatched)
 	}
@@ -557,7 +557,7 @@ func BenchmarkJoinLateMat(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(col.Bytes()))
 			for i := 0; i < b.N; i++ {
-				RunJoinParallel(&pt, FromTable(col), []JoinSpec{spec}, 0.95, 1)
+				runOpt(&pt, FromTable(col), Options{Confidence: 0.95, Workers: 1, Joins: []JoinSpec{spec}})
 			}
 		})
 	}

@@ -62,9 +62,9 @@ func TestColumnarEquivalence(t *testing.T) {
 					{FromTable(row), FromTable(col)},
 					{FromBlocks(row.Schema, row.Blocks, 400), FromBlocks(col.Schema, col.Blocks, 400)},
 				} {
-					want := RunParallel(p, inputs[0], 0.95, 1)
+					want := runOpt(p, inputs[0], Options{Confidence: 0.95, Workers: 1})
 					for _, w := range workerCounts {
-						got := RunParallel(p, inputs[1], 0.95, w)
+						got := runOpt(p, inputs[1], Options{Confidence: 0.95, Workers: w})
 						if !reflect.DeepEqual(want, got) {
 							t.Fatalf("seed=%d rpb=%d input=%d workers=%d query=%q: columnar result diverged\nwant %+v\ngot  %+v",
 								seed, rowsPerBlock, ii, w, src, want, got)
@@ -135,16 +135,16 @@ func TestColumnarEquivalenceMixedKinds(t *testing.T) {
 	}
 	for _, src := range queries {
 		p := compile(t, src, row.Schema)
-		want := RunParallel(p, FromTable(row), 0.95, 1)
+		want := runOpt(p, FromTable(row), Options{Confidence: 0.95, Workers: 1})
 		for _, w := range []int{1, 4, 64} {
-			got := RunParallel(p, FromTable(col), 0.95, w)
+			got := runOpt(p, FromTable(col), Options{Confidence: 0.95, Workers: w})
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("workers=%d query=%q: mixed-kind columnar diverged\nwant %+v\ngot  %+v", w, src, want, got)
 			}
 		}
 		// Weighted-input variant exercises per-row rate staging.
-		wantW := RunParallel(p, FromBlocks(row.Schema, row.Blocks, 100), 0.95, 1)
-		gotW := RunParallel(p, FromBlocks(col.Schema, col.Blocks, 100), 0.95, 2)
+		wantW := runOpt(p, FromBlocks(row.Schema, row.Blocks, 100), Options{Confidence: 0.95, Workers: 1})
+		gotW := runOpt(p, FromBlocks(col.Schema, col.Blocks, 100), Options{Confidence: 0.95, Workers: 2})
 		if !reflect.DeepEqual(wantW, gotW) {
 			t.Fatalf("weighted query=%q: diverged", src)
 		}
@@ -220,9 +220,9 @@ func TestColumnarJoinEquivalence(t *testing.T) {
 		}
 		p := compile(t, `SELECT COUNT(*), AVG(sessiontime) FROM sessions WHERE code < 700 GROUP BY region`, combined)
 		spec := JoinSpec{Dim: dim, LeftCol: 0, RightCol: 0}
-		want := RunJoinParallel(p, FromTable(row), []JoinSpec{spec}, 0.95, 1)
+		want := runOpt(p, FromTable(row), Options{Confidence: 0.95, Workers: 1, Joins: []JoinSpec{spec}})
 		for _, w := range []int{1, 2, 8} {
-			got := RunJoinParallel(p, FromTable(col), []JoinSpec{spec}, 0.95, w)
+			got := runOpt(p, FromTable(col), Options{Confidence: 0.95, Workers: w, Joins: []JoinSpec{spec}})
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("dim=%s workers=%d: columnar join diverged", dimLayout, w)
 			}
@@ -244,7 +244,7 @@ func TestColumnarZonePruning(t *testing.T) {
 	}
 	b.Finish()
 	p := compile(t, `SELECT COUNT(*), SUM(v) FROM clustered WHERE day >= 450 AND day < 550`, schema)
-	res := RunParallel(p, FromTable(tab), 0.95, 2)
+	res := runOpt(p, FromTable(tab), Options{Confidence: 0.95, Workers: 2})
 	if res.RowsScanned != 200 {
 		t.Errorf("RowsScanned = %d, want 200 (pruned columnar blocks must not be read)", res.RowsScanned)
 	}
@@ -313,7 +313,7 @@ func BenchmarkRunParallelColumnar(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				RunParallel(p, in, 0.95, w)
+				runOpt(p, in, Options{Confidence: 0.95, Workers: w})
 			}
 			b.SetBytes(int64(col.Bytes()))
 		})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -44,11 +45,11 @@ func AblationDeltaReuse(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rOn, err := rtOn.Run(q)
+		rOn, err := rtOn.Run(context.Background(), q, nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		rOff, err := rtOff.Run(q)
+		rOff, err := rtOff.Run(context.Background(), q, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -96,7 +97,7 @@ func AblationProbeAll(cfg Config) (*Table, error) {
 		}
 		row := []string{fmt.Sprintf("Q%d", i+1)}
 		for _, rt := range []*elp.Runtime{rtAll, rtSub} {
-			resp, err := rt.Run(q)
+			resp, err := rt.Run(context.Background(), q, nil, nil)
 			if err != nil {
 				return nil, err
 			}

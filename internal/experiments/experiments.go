@@ -17,6 +17,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -317,7 +318,7 @@ func (e *Env) GroundTruth(sql string) (*exec.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return exec.RunParallel(plan, exec.FromTable(e.Data.Table), 0.95, e.Cfg.Workers), nil
+	return exec.Run(context.Background(), plan, exec.FromTable(e.Data.Table), exec.Options{Confidence: 0.95, Workers: e.Cfg.Workers})
 }
 
 // MeasuredRelErr compares an approximate result against ground truth:

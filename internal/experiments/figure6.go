@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"blinkdb/internal/baseline"
@@ -116,7 +117,7 @@ func Figure6c(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		resp, err := rt.Run(q)
+		resp, err := rt.Run(context.Background(), q, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +149,7 @@ func olaComparison(cfg Config, target float64) (blink float64, ola float64, err 
 	if err != nil {
 		return 0, 0, err
 	}
-	resp, err := env.Runtime(MultiDim).Run(q)
+	resp, err := env.Runtime(MultiDim).Run(context.Background(), q, nil, nil)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -184,8 +184,8 @@ func (c *Cache[V]) Len() int {
 // flight is one in-progress computation shared by concurrent callers.
 type flight[V any] struct {
 	done chan struct{}
-	// waiters counts callers blocked on done (cold path only; the tests
-	// use it to build deterministic stampedes).
+	// waiters counts callers blocked on done (cold path only; see
+	// Waiters).
 	waiters atomic.Int32
 	val     V
 	err     error
@@ -238,4 +238,17 @@ func (f *Flights[V]) Do(key string, fn func() (V, error)) (v V, shared bool, err
 	fl.val, fl.err = fn()
 	completed = true
 	return fl.val, false, fl.err
+}
+
+// Waiters reports how many callers are blocked sharing the in-flight
+// computation for key (-1 when no flight is registered). It lets tests
+// build deterministic stampedes: wait until the callers have joined
+// instead of sleeping.
+func (f *Flights[V]) Waiters(key string) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if fl, ok := f.m[key]; ok {
+		return int(fl.waiters.Load())
+	}
+	return -1
 }

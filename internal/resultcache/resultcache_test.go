@@ -155,25 +155,13 @@ func TestCacheHitNoAllocs(t *testing.T) {
 	}
 }
 
-// waitersOf reports how many callers are blocked sharing the in-flight
-// computation for key (-1 when no flight is registered). Test-side
-// observation hook for building deterministic stampedes.
-func (f *Flights[V]) waitersOf(key string) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if fl, ok := f.m[key]; ok {
-		return int(fl.waiters.Load())
-	}
-	return -1
-}
-
 // awaitWaiters blocks until n callers are waiting on key's flight.
 func awaitWaiters[V any](t *testing.T, f *Flights[V], key string, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for f.waitersOf(key) < n {
+	for f.Waiters(key) < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d waiters joined %q after 10s, want %d", f.waitersOf(key), key, n)
+			t.Fatalf("only %d waiters joined %q after 10s, want %d", f.Waiters(key), key, n)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -299,7 +287,7 @@ func TestFlightsErrorShared(t *testing.T) {
 			t.Fatalf("caller got err=%v, want shared %v", err, boom)
 		}
 	}
-	if f.waitersOf("k") != -1 {
+	if f.Waiters("k") != -1 {
 		t.Error("flight retained after completion")
 	}
 }

@@ -5,7 +5,8 @@
 // admission control.
 //
 // The admission gate sits between parse and plan: a request is parsed
-// (cheap, allocation-bounded) so its normalized template key prices the
+// once (cheap, allocation-bounded), its bound parameters are bound onto
+// the parsed query, and that query's normalized template key prices the
 // queue entry — using the template's observed-latency calibration when
 // the engine has seen it, a flat default otherwise — and only admitted
 // requests ever reach the planner or executor. A rejected request costs
@@ -120,13 +121,15 @@ type queryRequest struct {
 	// single JSON answer.
 	Stream bool `json:"stream,omitempty"`
 	// Error is a per-request error bound ("10%" relative or "0.5"
-	// absolute), appended to the SQL as an ERROR WITHIN clause. Rejected
-	// when the SQL already carries one.
+	// absolute), bound as the query's ERROR WITHIN clause. Rejected when
+	// the SQL already carries one.
 	Error string `json:"error,omitempty"`
-	// Confidence qualifies Error ("95%"; default the engine's).
+	// Confidence qualifies Error ("95%", "95" or "0.95"; default 95%).
+	// Must lie strictly between 0% and 100%.
 	Confidence string `json:"confidence,omitempty"`
-	// TimeSeconds is a per-request response-time bound, appended as a
-	// WITHIN n SECONDS clause. Rejected when the SQL already carries one.
+	// TimeSeconds is a per-request response-time bound, bound as the
+	// query's WITHIN n SECONDS clause; 0 means none. Rejected when the
+	// SQL already carries one.
 	TimeSeconds float64 `json:"time_seconds,omitempty"`
 }
 
@@ -227,7 +230,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sql, key, err := s.bindBounds(req)
+	q, key, err := s.bindBounds(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -273,9 +276,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// admission EWMA and shed everyone else's queries.
 	var compute float64
 	if req.Stream {
-		compute = s.streamQuery(w, r, sql, arrival)
+		compute = s.streamQuery(w, r, q, arrival)
 	} else {
-		compute = s.singleQuery(w, r, sql, arrival)
+		compute = s.singleQuery(w, r, q, arrival)
 	}
 	ticket.Release(compute)
 }
@@ -294,9 +297,9 @@ func retryAfterSeconds(d time.Duration) int {
 // singleQuery answers with one JSON frame. It returns the engine
 // compute seconds for admission calibration (0 when the query did not
 // complete — Release skips learning on non-positive observations).
-func (s *Server) singleQuery(w http.ResponseWriter, r *http.Request, sql string, arrival time.Time) float64 {
+func (s *Server) singleQuery(w http.ResponseWriter, r *http.Request, q *sqlparser.Query, arrival time.Time) float64 {
 	start := s.cfg.Now()
-	res, err := s.eng.QueryCtx(r.Context(), sql)
+	res, _, err := s.eng.Run(r.Context(), q, false, nil)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return 0 // client gone; the engine already counted the cancel
@@ -321,7 +324,7 @@ func (s *Server) singleQuery(w http.ResponseWriter, r *http.Request, sql string,
 // time, accumulated in segments that pause while a frame drains to the
 // client — so a slow reader cannot poison the admission EWMA. 0 when
 // the stream did not complete.
-func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, sql string, arrival time.Time) float64 {
+func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, q *sqlparser.Query, arrival time.Time) float64 {
 	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	if sse {
 		w.Header().Set("Content-Type", "text/event-stream")
@@ -354,7 +357,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, sql string,
 	first := true
 	compute := 0.0
 	segStart := s.cfg.Now() // current compute segment; paused during emit
-	err := s.eng.QueryStream(r.Context(), sql, func(u blinkdb.StreamUpdate) error {
+	_, _, err := s.eng.Run(r.Context(), q, false, func(u blinkdb.StreamUpdate) error {
 		now := s.cfg.Now()
 		compute += now.Sub(segStart).Seconds()
 		elapsed := now.Sub(arrival).Seconds()
@@ -415,54 +418,55 @@ func decodeRequest(r *http.Request) (*queryRequest, error) {
 	return req, nil
 }
 
-// bindBounds validates the SQL, applies per-request bound parameters as
-// clause text, and returns the final SQL plus its normalized template
-// key (the admission pricing key). Bound parameters conflict with bounds
-// already written in the SQL — that's an error, not an override.
-func (s *Server) bindBounds(req *queryRequest) (sql string, key string, err error) {
+// bindBounds parses the SQL — the request's only parse — and binds the
+// per-request bound parameters onto the AST, returning the query to run
+// plus its normalized template key (the admission pricing key). The bound
+// query equals what parsing the SQL with the clauses appended as text
+// (ERROR WITHIN x[%] [AT CONFIDENCE c%], WITHIN t SECONDS) would give.
+// Bound parameters conflict with bounds already written in the SQL —
+// that's an error, not an override.
+func (s *Server) bindBounds(req *queryRequest) (*sqlparser.Query, string, error) {
 	q, err := sqlparser.Parse(req.SQL)
 	if err != nil {
-		return "", "", fmt.Errorf("parse error: %w", err)
+		return nil, "", fmt.Errorf("parse error: %w", err)
 	}
-	sql = strings.TrimRight(strings.TrimSpace(req.SQL), ";")
 	if req.Error != "" {
 		if q.Err != nil {
-			return "", "", errors.New("sql already specifies an ERROR bound; drop the error parameter")
+			return nil, "", errors.New("sql already specifies an ERROR bound; drop the error parameter")
 		}
 		bound, pct, err := parseBoundNumber(req.Error)
 		if err != nil {
-			return "", "", fmt.Errorf("bad error parameter: %w", err)
+			return nil, "", fmt.Errorf("bad error parameter: %w", err)
 		}
+		eb := &sqlparser.ErrorBound{Relative: pct, Bound: bound, Confidence: sqlparser.DefaultConfidence}
 		if pct {
-			sql += fmt.Sprintf(" ERROR WITHIN %g%%", bound)
-		} else {
-			sql += fmt.Sprintf(" ERROR WITHIN %g", bound)
+			eb.Bound = bound / 100
 		}
 		if req.Confidence != "" {
 			conf, _, err := parseBoundNumber(req.Confidence)
-			if err != nil {
-				return "", "", fmt.Errorf("bad confidence parameter: %w", err)
+			if err == nil {
+				eb.Confidence = normalizeConfidencePct(conf) / 100
+				err = sqlparser.CheckConfidence(eb.Confidence)
 			}
-			sql += fmt.Sprintf(" AT CONFIDENCE %g%%", normalizeConfidencePct(conf))
+			if err != nil {
+				return nil, "", fmt.Errorf("bad confidence parameter: %w", err)
+			}
 		}
+		q.Err = eb
 	} else if req.Confidence != "" {
-		return "", "", errors.New("confidence parameter requires an error parameter")
+		return nil, "", errors.New("confidence parameter requires an error parameter")
 	}
 	if req.TimeSeconds != 0 {
-		if req.TimeSeconds < 0 {
-			return "", "", errors.New("time parameter must be positive")
+		if !(req.TimeSeconds > 0) || math.IsInf(req.TimeSeconds, 1) {
+			return nil, "", fmt.Errorf("time parameter must be a positive, finite number of seconds, not %g", req.TimeSeconds)
 		}
 		if q.Time != nil {
-			return "", "", errors.New("sql already specifies a WITHIN time bound; drop the time parameter")
+			return nil, "", errors.New("sql already specifies a WITHIN time bound; drop the time parameter")
 		}
-		sql += fmt.Sprintf(" WITHIN %g SECONDS", req.TimeSeconds)
+		q.Time = &sqlparser.TimeBound{Seconds: req.TimeSeconds}
 	}
-	final, err := sqlparser.Parse(sql)
-	if err != nil {
-		return "", "", fmt.Errorf("parse error after binding bounds: %w", err)
-	}
-	key, _ = sqlparser.Normalize(final)
-	return sql, key, nil
+	key, _ := sqlparser.Normalize(q)
+	return q, key, nil
 }
 
 // parseBoundNumber parses "10%" or "0.1"-style parameters.

@@ -277,6 +277,23 @@ func TestBoundParams(t *testing.T) {
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("confidence without error must 400, got %d", w.Code)
 	}
+	// A confidence must lie strictly inside (0%, 100%); a bare 1 means
+	// 100%.
+	for _, conf := range []string{"0%", "100%", "150%", "1"} {
+		w = postQuery(t, srv, fmt.Sprintf(`{"sql": "SELECT COUNT(*) FROM sessions", "error": "5%%", "confidence": %q}`, conf))
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("confidence %s must 400, got %d: %s", conf, w.Code, w.Body.String())
+		}
+	}
+	// The time parameter must be a positive, finite number of seconds.
+	for _, secs := range []string{"NaN", "Inf", "-1", "1e400"} {
+		params := url.Values{"sql": {"SELECT COUNT(*) FROM sessions"}, "time": {secs}}
+		w = httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/query?"+params.Encode(), nil))
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("time=%s must 400, got %d: %s", secs, w.Code, w.Body.String())
+		}
+	}
 }
 
 // TestGetQueryParams pins the GET form of /query.

@@ -120,8 +120,22 @@ func (p *parser) percentage() (float64, bool, error) {
 	return v, false, nil
 }
 
+// DefaultConfidence is the confidence level of a bound or report that
+// names none.
+const DefaultConfidence = 0.95
+
+// CheckConfidence rejects a confidence level that, as a fraction, is not
+// strictly inside (0,1): 0% promises nothing and 100% or more has no
+// finite interval.
+func CheckConfidence(c float64) error {
+	if !(c > 0 && c < 1) {
+		return fmt.Errorf("confidence %g%% is outside (0%%, 100%%)", c*100)
+	}
+	return nil
+}
+
 func (p *parser) parseQuery() (*Query, error) {
-	q := &Query{ReportConfidence: 0.95}
+	q := &Query{ReportConfidence: DefaultConfidence}
 	if p.acceptKw("EXPLAIN") {
 		if err := p.expectKw("ANALYZE"); err != nil {
 			return nil, err
@@ -147,6 +161,9 @@ func (p *parser) parseQuery() (*Query, error) {
 			}
 			if !pct && v > 1 {
 				v /= 100
+			}
+			if err := CheckConfidence(v); err != nil {
+				return nil, p.errf("%v", err)
 			}
 			if err := p.expectKw("CONFIDENCE"); err != nil {
 				return nil, err
@@ -236,7 +253,7 @@ func (p *parser) parseQuery() (*Query, error) {
 			if err != nil {
 				return nil, err
 			}
-			eb := &ErrorBound{Relative: rel, Bound: bound, Confidence: 0.95}
+			eb := &ErrorBound{Relative: rel, Bound: bound, Confidence: DefaultConfidence}
 			if p.acceptKw("AT") {
 				if err := p.expectKw("CONFIDENCE"); err != nil {
 					return nil, err
@@ -247,6 +264,9 @@ func (p *parser) parseQuery() (*Query, error) {
 				}
 				if !pct && c > 1 {
 					c /= 100
+				}
+				if err := CheckConfidence(c); err != nil {
+					return nil, p.errf("%v", err)
 				}
 				eb.Confidence = c
 			}

@@ -158,6 +158,28 @@ func TestParseErrorDefaults(t *testing.T) {
 	}
 }
 
+// TestParseConfidenceOutOfRange: a confidence level must lie strictly
+// inside (0,1) after % normalisation, in both the ERROR WITHIN clause and
+// the RELATIVE ERROR pseudo-projection; a bare 1 means 100%.
+func TestParseConfidenceOutOfRange(t *testing.T) {
+	for _, c := range []string{"0%", "100%", "150%", "1", "0", "150"} {
+		for _, src := range []string{
+			`SELECT SUM(x) FROM s ERROR WITHIN 5% AT CONFIDENCE ` + c,
+			`SELECT COUNT(*), RELATIVE ERROR AT ` + c + ` CONFIDENCE FROM s`,
+		} {
+			if q, err := Parse(src); err == nil {
+				t.Errorf("%s: accepted (err bound %+v, report confidence %g)", src, q.Err, q.ReportConfidence)
+			}
+		}
+	}
+	for c, want := range map[string]float64{"95%": 0.95, "0.9": 0.9, "99": 0.99, "0.5%": 0.005} {
+		q := mustParse(t, `SELECT SUM(x), RELATIVE ERROR AT `+c+` CONFIDENCE FROM s ERROR WITHIN 5% AT CONFIDENCE `+c)
+		if q.Err.Confidence != want || q.ReportConfidence != want {
+			t.Errorf("confidence %s parsed as %g / %g, want %g", c, q.Err.Confidence, q.ReportConfidence, want)
+		}
+	}
+}
+
 func TestParseLimit(t *testing.T) {
 	q := mustParse(t, `SELECT COUNT(*) FROM s LIMIT 10`)
 	if q.Limit != 10 {
