@@ -19,11 +19,11 @@ var affinityQueries = []string{
 	`SELECT COUNT(*) FROM sessions WHERE city = 'Atlantis'`,
 }
 
-// TestAffinityEquivalenceEndToEnd is the tentpole's public-API acceptance
-// check: engines differing only in Config.Affinity (and worker count)
-// return DeepEqual-identical results — estimates, error bars, plan
-// decisions, scan counters AND simulated latency, since the cluster model
-// prices block placement, not the scheduling knob.
+// TestAffinityEquivalenceEndToEnd is the shard-affine scheduler's
+// public-API acceptance check: engines differing only in worker count
+// return DeepEqual-identical results to Workers: 1 — estimates, error
+// bars, plan decisions, scan counters AND simulated latency, since the
+// cluster model prices block placement, not the worker count.
 func TestAffinityEquivalenceEndToEnd(t *testing.T) {
 	const rows = 30000
 	base := Config{Scale: 1e4, Seed: 7, CacheTables: true, Workers: 1}
@@ -38,21 +38,18 @@ func TestAffinityEquivalenceEndToEnd(t *testing.T) {
 			want[i] = res
 		}
 	}
-	for _, workers := range []int{1, 2, 8} {
-		for _, aff := range []Affinity{AffinityNode, AffinityBlind} {
-			cfg := base
-			cfg.Workers = workers
-			cfg.Affinity = aff
-			eng := demoEngineCfg(t, rows, cfg)
-			for i, src := range affinityQueries {
-				got, err := eng.Query(src)
-				if err != nil {
-					t.Fatalf("%q (workers=%d affinity=%d): %v", src, workers, aff, err)
-				}
-				if !reflect.DeepEqual(want[i], got) {
-					t.Errorf("%q: workers=%d affinity=%d diverged from the reference\nwant %+v\ngot  %+v",
-						src, workers, aff, want[i], got)
-				}
+	for _, workers := range []int{2, 8} {
+		cfg := base
+		cfg.Workers = workers
+		eng := demoEngineCfg(t, rows, cfg)
+		for i, src := range affinityQueries {
+			got, err := eng.Query(src)
+			if err != nil {
+				t.Fatalf("%q (workers=%d): %v", src, workers, err)
+			}
+			if !reflect.DeepEqual(want[i], got) {
+				t.Errorf("%q: workers=%d diverged from the reference\nwant %+v\ngot  %+v",
+					src, workers, want[i], got)
 			}
 		}
 	}

@@ -7,12 +7,12 @@
 // workload, and at runtime selects the sample family and resolution that
 // satisfy a query's ERROR WITHIN / WITHIN ... SECONDS bounds.
 //
-// Execution is shard-affine by default (Config.Affinity): blocks are
-// striped over the simulated cluster's nodes, scan workers each own one
-// node's shard, and the cluster model prices data placement — straggler
-// nodes bound the scan, and merging partial aggregates across nodes pays
-// a network fan-in. Results are bit-identical whether affinity is on or
-// off (AffinityBlind), for any worker count and block layout.
+// Execution is shard-affine: blocks are striped over the simulated
+// cluster's nodes, scan workers each own one node's shard (claiming
+// single ranges when there are fewer shards than workers), and the
+// cluster model prices data placement — straggler nodes bound the scan,
+// and merging partial aggregates across nodes pays a network fan-in.
+// Results are bit-identical for any worker count and block layout.
 //
 // Queries flow through an explicit prepare → execute pipeline with a
 // template-keyed plan cache (Config.PlanCacheSize, on by default):
@@ -184,28 +184,6 @@ const (
 	LayoutRow
 )
 
-// Affinity selects how the executor's scan workers are scheduled over
-// the simulated cluster's block placement.
-type Affinity uint8
-
-const (
-	// AffinityNode — the default — schedules scans shard-affine: the
-	// deterministic block partition is grouped by the node each range's
-	// blocks live on, and one worker owns one node's shard (the paper's
-	// §2.2.1 layout of samples striped as many small blocks across the
-	// cluster, scanned node-locally). Query results are bit-identical to
-	// AffinityBlind — the partition and merge order never change — and
-	// the cluster model prices block placement either way: data piled on
-	// one node pays a straggler-bound scan, data striped across nodes
-	// pays a cross-node partial-merge fan-in.
-	AffinityNode Affinity = iota
-	// AffinityBlind restores the node-blind scheduler: workers claim scan
-	// ranges round-robin regardless of block placement. Kept as the
-	// reference for the affinity equivalence tests and for A/B
-	// throughput comparisons (blinkdb-bench reports both modes).
-	AffinityBlind
-)
-
 // ColumnDef declares one table column.
 type ColumnDef struct {
 	Name string
@@ -246,11 +224,6 @@ type Config struct {
 	// scans); LayoutRow restores the row-oriented store. Query results
 	// are bit-identical across layouts.
 	Layout Layout
-	// Affinity is the scan scheduling mode. The zero value is
-	// AffinityNode (shard-affine: one worker per simulated node's
-	// blocks); AffinityBlind restores node-blind range scheduling. Query
-	// results are bit-identical across modes.
-	Affinity Affinity
 	// PlanCacheSize caps how many query templates keep their prepared
 	// state — compiled plan, sample probes, Error-Latency Profile —
 	// across queries (the hot-path amortization for template-heavy
@@ -288,11 +261,6 @@ type Config struct {
 	// recording overhead (a timestamp pair and a few atomic adds per
 	// query). EXPLAIN ANALYZE span capture is per-query and unaffected.
 	DisableTelemetry bool
-	// FullProbePricing charges ELP probe runs like any other sample
-	// read. By default probes are priced at job overhead only, matching
-	// §4.1.1's assumption that the smallest per-family samples are
-	// memory-resident and "very fast" to query.
-	FullProbePricing bool
 	// DataDir enables persistence when set: CreateSamples writes built
 	// families as columnar segment files under it and loads them back
 	// on matching warm boots instead of re-stratifying, and
@@ -403,7 +371,6 @@ func Open(cfg Config) *Engine {
 		MemCacheBytesPerNode: cfg.MemCacheGBPerNode * 1e9,
 	})
 	cat := catalog.New()
-	affine := cfg.Affinity != AffinityBlind
 	planCache := cfg.PlanCacheSize
 	if planCache < 0 {
 		planCache = 0 // explicit disable
@@ -417,15 +384,13 @@ func Open(cfg Config) *Engine {
 		tele = telemetry.NewRegistry()
 	}
 	rt := elp.New(cat, clus, elp.Options{
-		Confidence:        cfg.Confidence,
-		Scale:             cfg.Scale,
-		ProbeOverheadOnly: !cfg.FullProbePricing,
-		Workers:           cfg.Workers,
-		Affine:            &affine,
-		PlanCacheSize:     planCache,
-		ResultCacheSize:   resultCache,
-		ResultCacheTTL:    cfg.ResultCacheTTL,
-		Telemetry:         tele,
+		Confidence:      cfg.Confidence,
+		Scale:           cfg.Scale,
+		Workers:         cfg.Workers,
+		PlanCacheSize:   planCache,
+		ResultCacheSize: resultCache,
+		ResultCacheTTL:  cfg.ResultCacheTTL,
+		Telemetry:       tele,
 	})
 	return &Engine{cfg: cfg, cat: cat, clus: clus, rt: rt, tele: tele}
 }

@@ -145,15 +145,7 @@ func demoEngineCfg(t testing.TB, rows int, cfg Config) *Engine {
 func TestWorkersEquivalenceEndToEnd(t *testing.T) {
 	seq := demoEngineWorkers(t, 30000, 1)
 	par := demoEngineWorkers(t, 30000, 8)
-	queries := []string{
-		`SELECT COUNT(*) FROM sessions`,
-		`SELECT AVG(sessiontime), MEDIAN(sessiontime) FROM sessions GROUP BY city`,
-		`SELECT AVG(sessiontime) FROM sessions WHERE city = 'NY' ERROR WITHIN 5% AT CONFIDENCE 95%`,
-		`SELECT COUNT(*) FROM sessions WHERE city = 'SF' GROUP BY os WITHIN 2 SECONDS`,
-		`SELECT SUM(sessiontime) FROM sessions WHERE city = 'NY' OR os = 'Linux' ERROR WITHIN 10%`,
-		`SELECT COUNT(*) FROM sessions WHERE city = 'Atlantis'`,
-	}
-	for _, src := range queries {
+	for _, src := range affinityQueries {
 		a, err := seq.Query(src)
 		if err != nil {
 			t.Fatalf("%q (workers=1): %v", src, err)

@@ -73,10 +73,6 @@ type execRecord struct {
 	RowsPerSec map[string]float64 `json:"rows_per_sec_by_workers"`
 	// ColumnarRowsPerSec is the columnar-layout (vectorized) throughput.
 	ColumnarRowsPerSec map[string]float64 `json:"columnar_rows_per_sec_by_workers"`
-	// AffinityOffRowsPerSec is the columnar throughput under the
-	// node-blind scheduler; ColumnarRowsPerSec is its node-affine pair
-	// (results are bit-identical; only worker→range assignment differs).
-	AffinityOffRowsPerSec map[string]float64 `json:"affinity_off_rows_per_sec_by_workers"`
 	// LocalityHitRate is the fraction of the bench table's bytes the
 	// node-affine schedule reads on the owning node (1.0 when every scan
 	// range is a single block).
@@ -136,30 +132,17 @@ type resultReplayRecord struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// kernelRecord reports the scan-kernel overhaul's three headline ratios,
-// each measured as single-thread throughput of one physical design over
-// another on identical logical data (answers are bit-identical by the
-// Tuning contract; only the kernels differ):
-//
-//   - RLESpeedup: filtered grouped scan over a sorted-stratification
-//     table, the full overhaul (run-length-encoded columns, three-state
-//     zones, selection vectors) vs the pre-overhaul columnar design
-//     (plain typed encodings, two-state zones, bitmap-only kernels).
-//   - LateMatJoinSpeedup: columnar fact⋈dim scan, late materialization
-//     (fact predicate first, probe keys straight from the columns) vs
-//     expanding every fact row through the join before filtering.
-//   - SelVecVsBitmap: mid-selectivity single-leaf predicate dispatched to
-//     the selection-vector kernel vs forced bitmap evaluation.
+// kernelRecord reports the run-length encoding's payoff: single-thread
+// throughput of a filtered grouped scan over a sorted-stratification
+// table with run-length-encoded columns vs the same logical data in the
+// plain typed encodings, both under the executor's own kernel choices
+// (three-state zones, selectivity-picked selection-vector or bitmap
+// kernels). Answers are bit-identical; only the encoding differs.
 type kernelRecord struct {
 	// RLERowsPerSec / PlainRowsPerSec are the two legs behind RLESpeedup.
 	RLERowsPerSec   float64 `json:"rle_rows_per_sec"`
 	PlainRowsPerSec float64 `json:"plain_rows_per_sec"`
 	RLESpeedup      float64 `json:"rle_speedup"`
-	// LateMatJoinSpeedup = late-materialization / early-materialization
-	// join throughput.
-	LateMatJoinSpeedup float64 `json:"latemat_join_speedup"`
-	// SelVecVsBitmap = selection-vector / bitmap scan throughput.
-	SelVecVsBitmap float64 `json:"selvec_vs_bitmap"`
 }
 
 // templateTelemetry is one template's histogram summary in the snapshot.
@@ -479,13 +462,13 @@ func executorBench(smoke bool) execRecord {
 	}
 
 	ctx := context.Background()
-	measure := func(in exec.Input, workers int, sched exec.Sched) float64 {
+	measure := func(in exec.Input, workers int) float64 {
 		// Warm up once, then time enough iterations for ≥ ~0.5 s.
-		exec.Run(ctx, plan, in, exec.Options{Confidence: 0.95, Workers: workers, Sched: sched})
+		exec.Run(ctx, plan, in, exec.Options{Confidence: 0.95, Workers: workers})
 		iters := 0
 		start := time.Now()
 		for time.Since(start) < window {
-			exec.Run(ctx, plan, in, exec.Options{Confidence: 0.95, Workers: workers, Sched: sched})
+			exec.Run(ctx, plan, in, exec.Options{Confidence: 0.95, Workers: workers})
 			iters++
 		}
 		return float64(rows) * float64(iters) / time.Since(start).Seconds()
@@ -494,17 +477,15 @@ func executorBench(smoke bool) execRecord {
 	colTab := build(storage.ColumnarLayout)
 	rec := execRecord{
 		Rows: rows, Blocks: len(rowTab.Blocks),
-		RowsPerSec:            map[string]float64{},
-		ColumnarRowsPerSec:    map[string]float64{},
-		AffinityOffRowsPerSec: map[string]float64{},
+		RowsPerSec:         map[string]float64{},
+		ColumnarRowsPerSec: map[string]float64{},
 	}
 	_, shards := exec.ScanShards(colTab.Blocks)
 	rec.LocalityHitRate = storage.LocalityHitRate(shards)
 	for _, w := range []int{1, 2, 4, 8} {
 		key := fmt.Sprintf("%d", w)
-		rec.RowsPerSec[key] = measure(exec.FromTable(rowTab), w, exec.SchedNodeAffine)
-		rec.ColumnarRowsPerSec[key] = measure(exec.FromTable(colTab), w, exec.SchedNodeAffine)
-		rec.AffinityOffRowsPerSec[key] = measure(exec.FromTable(colTab), w, exec.SchedBlind)
+		rec.RowsPerSec[key] = measure(exec.FromTable(rowTab), w)
+		rec.ColumnarRowsPerSec[key] = measure(exec.FromTable(colTab), w)
 	}
 	if base := rec.RowsPerSec["1"]; base > 0 {
 		rec.Speedup8vs1 = rec.RowsPerSec["8"] / base
@@ -513,11 +494,10 @@ func executorBench(smoke bool) execRecord {
 	return rec
 }
 
-// kernelsBench measures the scan-kernel overhaul in isolation (see
-// kernelRecord). All legs run single-threaded on identical logical data;
-// the Tuning knobs and the RLE/plain builder toggle are purely physical,
-// so every pairing is answer-identical by construction — only the kernels
-// under test differ.
+// kernelsBench measures run-length encoding in isolation (see
+// kernelRecord). Both legs run single-threaded on identical logical data;
+// the RLE/plain builder toggle is purely physical, so the pairing is
+// answer-identical by construction — only the encoding differs.
 func kernelsBench(smoke bool) kernelRecord {
 	strata, perStratum := 100, 2000
 	window := 500 * time.Millisecond
@@ -555,8 +535,17 @@ func kernelsBench(smoke bool) kernelRecord {
 	rleTab := build(true)
 	plainTab := build(false)
 
+	// The range covers ~60% of the strata, so blocks split into pruned /
+	// all-true / mixed — the full three-state spread.
+	scanQ := fmt.Sprintf(
+		`SELECT COUNT(*), SUM(v) FROM strat WHERE strat >= 'stratum-%03d' AND strat < 'stratum-%03d' GROUP BY strat`,
+		strata/5, strata/5+(strata*3)/5)
+	plan, err := compileBench(scanQ, schema)
+	if err != nil {
+		panic(err)
+	}
 	ctx := context.Background()
-	measure := func(plan *exec.Plan, tab *storage.Table) float64 {
+	measure := func(tab *storage.Table) float64 {
 		in := exec.FromTable(tab)
 		exec.Run(ctx, plan, in, exec.Options{Confidence: 0.95}) // warm
 		iters := 0
@@ -567,86 +556,9 @@ func kernelsBench(smoke bool) kernelRecord {
 		}
 		return float64(rows) * float64(iters) / time.Since(start).Seconds()
 	}
-
-	rec := kernelRecord{}
-
-	// Leg 1: the overhauled scan (RLE table, default Tuning) vs the
-	// pre-overhaul columnar design (plain table, three-state zones and
-	// selection vectors switched off). The range covers ~60% of the
-	// strata, so blocks split into pruned / all-true / mixed — the full
-	// three-state spread.
-	scanQ := fmt.Sprintf(
-		`SELECT COUNT(*), SUM(v) FROM strat WHERE strat >= 'stratum-%03d' AND strat < 'stratum-%03d' GROUP BY strat`,
-		strata/5, strata/5+(strata*3)/5)
-	scanPlan, err := compileBench(scanQ, schema)
-	if err != nil {
-		panic(err)
-	}
-	oldPlan := *scanPlan
-	oldPlan.Tuning = exec.Tuning{NoTristateZones: true, NoSelVectors: true}
-	rec.RLERowsPerSec = measure(scanPlan, rleTab)
-	rec.PlainRowsPerSec = measure(&oldPlan, plainTab)
+	rec := kernelRecord{RLERowsPerSec: measure(rleTab), PlainRowsPerSec: measure(plainTab)}
 	if rec.PlainRowsPerSec > 0 {
 		rec.RLESpeedup = rec.RLERowsPerSec / rec.PlainRowsPerSec
-	}
-
-	// Leg 2: selection-vector vs bitmap on a mid-selectivity single-leaf
-	// predicate (v < 100 matches ~63% of ExpFloat64()*100).
-	selQ := `SELECT COUNT(*), SUM(v) FROM strat WHERE v < 100 GROUP BY strat`
-	selPlan, err := compileBench(selQ, schema)
-	if err != nil {
-		panic(err)
-	}
-	bmPlan := *selPlan
-	bmPlan.Tuning.NoSelVectors = true
-	if bm := measure(&bmPlan, rleTab); bm > 0 {
-		rec.SelVecVsBitmap = measure(selPlan, rleTab) / bm
-	}
-
-	// Leg 3: late- vs early-materialized join. The dimension maps strata
-	// to a handful of buckets; the fact-side conjunct keeps ~half the
-	// rows, so early materialization expands twice as many rows as it
-	// aggregates.
-	dimSchema := types.NewSchema(
-		types.Column{Name: "name", Kind: types.KindString},
-		types.Column{Name: "bucket", Kind: types.KindString},
-	)
-	dim := storage.NewTable("strata", dimSchema)
-	db := storage.NewBuilder(dim, 64, 1, storage.InMemory)
-	buckets := []string{"low", "mid", "high", "top"}
-	for s := 0; s < strata; s++ {
-		db.AppendRow(types.Row{
-			types.Str(fmt.Sprintf("stratum-%03d", s)),
-			types.Str(buckets[s*len(buckets)/strata]),
-		})
-	}
-	db.Finish()
-	combined, _, err := exec.JoinedSchema(schema, []*storage.Table{dim})
-	if err != nil {
-		panic(err)
-	}
-	spec := exec.JoinSpec{Dim: dim, LeftCol: 0, RightCol: 0}
-	joinQ := `SELECT COUNT(*), SUM(v) FROM strat WHERE v < 70 AND bucket <> 'mid' GROUP BY bucket`
-	joinPlan, err := compileBench(joinQ, combined)
-	if err != nil {
-		panic(err)
-	}
-	join := exec.Options{Confidence: 0.95, Joins: []exec.JoinSpec{spec}}
-	measureJoin := func(plan *exec.Plan) float64 {
-		in := exec.FromTable(rleTab)
-		exec.Run(ctx, plan, in, join)
-		iters := 0
-		start := time.Now()
-		for time.Since(start) < window {
-			exec.Run(ctx, plan, in, join)
-			iters++
-		}
-		return float64(rows) * float64(iters) / time.Since(start).Seconds()
-	}
-	earlyPlan := *joinPlan
-	earlyPlan.Tuning.NoLateMaterialization = true
-	if early := measureJoin(&earlyPlan); early > 0 {
-		rec.LateMatJoinSpeedup = measureJoin(joinPlan) / early
 	}
 	return rec
 }

@@ -36,6 +36,11 @@ import (
 	"blinkdb/internal/server"
 )
 
+// readHeaderTimeout bounds how long a client may take to send the request
+// headers, so a slow or stalled client cannot hold a connection open
+// indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 type options struct {
 	addr       string
 	rows       int
@@ -83,7 +88,7 @@ func run(o options) error {
 		Warming:   true,
 		Admission: admissionConfig(o),
 	})
-	hs := &http.Server{Addr: o.addr, Handler: srv}
+	hs := &http.Server{Addr: o.addr, Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
 	// SIGTERM/SIGINT starts a graceful drain: the listener closes, queued
 	// admissions keep their place, in-flight queries (and their streams)
 	// run to completion, the warm state snapshots, then the process exits.

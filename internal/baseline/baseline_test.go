@@ -9,8 +9,6 @@ import (
 
 	"blinkdb/internal/cluster"
 	"blinkdb/internal/exec"
-	"blinkdb/internal/optimizer"
-	"blinkdb/internal/sample"
 	"blinkdb/internal/sqlparser"
 	"blinkdb/internal/stats"
 	"blinkdb/internal/storage"
@@ -58,21 +56,28 @@ func compile(t testing.TB, src string, schema *types.Schema) *exec.Plan {
 	return p
 }
 
+// TestFullScanEngineOrdering pins the full-scan comparison systems of
+// Fig. 6(c): an exact scan of the base table, priced by the cluster model
+// the way experiments.Figure6c prices it, orders Hive > Shark (disk) >
+// Shark (cached).
 func TestFullScanEngineOrdering(t *testing.T) {
 	tab := testTable(t, 20000)
 	plan := compile(t, `SELECT AVG(time) FROM sessions GROUP BY city`, tab.Schema)
 	clus := cluster.New(cluster.PaperConfig())
-	scale := 1e5 // pretend multi-TB
+	logical := float64(tab.Bytes()) * 1e5 // pretend multi-TB
+	latency := func(prof cluster.EngineProfile, memFraction float64) float64 {
+		return clus.Latency(prof, clus.UniformWork(logical, memFraction, logical*0.01, 256e6))
+	}
 
-	_, hadoop := FullScan(clus, cluster.HiveOnHadoop, tab, plan, scale, 0, 4, exec.SchedNodeAffine)
-	_, sharkDisk := FullScan(clus, cluster.SharkNoCache, tab, plan, scale, 0, 4, exec.SchedNodeAffine)
-	_, sharkMem := FullScan(clus, cluster.SharkCached, tab, plan, scale, 1, 4, exec.SchedBlind)
+	hadoop := latency(cluster.HiveOnHadoop, 0)
+	sharkDisk := latency(cluster.SharkNoCache, 0)
+	sharkMem := latency(cluster.SharkCached, 1)
 	if !(hadoop > sharkDisk && sharkDisk > sharkMem) {
 		t.Errorf("engine ordering wrong: hadoop %.0f, shark-disk %.0f, shark-mem %.0f",
 			hadoop, sharkDisk, sharkMem)
 	}
 	// Answers are exact regardless of engine.
-	res, _ := FullScan(clus, cluster.HiveOnHadoop, tab, plan, scale, 0, 4, exec.SchedNodeAffine)
+	res, _ := exec.Run(context.Background(), plan, exec.FromTable(tab), exec.Options{Confidence: 0.95, Workers: 4})
 	for _, g := range res.Groups {
 		if !g.Estimates[0].Exact {
 			t.Error("full scan must be exact")
@@ -185,41 +190,6 @@ func TestOLACountVarianceCalibrated(t *testing.T) {
 	}
 }
 
-func TestUniformOnly(t *testing.T) {
-	tab := testTable(t, 10000)
-	fam, err := UniformOnly(tab, 0.5, 3, 4, sample.BuildConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fam.IsUniform() {
-		t.Error("should be uniform")
-	}
-	if got := fam.Largest().Rows(); got != 5000 {
-		t.Errorf("largest = %d, want 5000", got)
-	}
-	if fam.Resolutions() != 3 {
-		t.Errorf("resolutions = %d", fam.Resolutions())
-	}
-}
-
-func TestSingleColumnRestriction(t *testing.T) {
-	tab := testTable(t, 10000)
-	templates := []optimizer.TemplateSpec{
-		{Columns: types.NewColumnSet("city", "os"), Weight: 1},
-	}
-	plan, err := SingleColumn(tab, templates, optimizer.Config{
-		K: 100, BudgetBytes: tab.Bytes(), ChurnFrac: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range plan.Chosen {
-		if c.Phi.Len() != 1 {
-			t.Errorf("single-column baseline built %v", c.Phi)
-		}
-	}
-}
-
 func TestOLAQuantile(t *testing.T) {
 	tab := testTable(t, 30000)
 	plan := compile(t, `SELECT MEDIAN(time) FROM sessions`, tab.Schema)
@@ -281,10 +251,9 @@ func BenchmarkOLA(b *testing.B) {
 	}
 }
 
-// TestBaselineLayoutEquivalence pins the comparison systems to the same
-// row-vs-columnar contract as the main engine: FullScan (any worker
-// count) and OLA return bit-identical results and simulated latencies on
-// both layouts.
+// TestBaselineLayoutEquivalence pins OLA to the same row-vs-columnar
+// contract as the main engine: it returns bit-identical results and
+// simulated latencies on both layouts.
 func TestBaselineLayoutEquivalence(t *testing.T) {
 	row := testTableLayout(t, 20000, storage.RowLayout)
 	col := testTableLayout(t, 20000, storage.ColumnarLayout)
@@ -294,14 +263,6 @@ func TestBaselineLayoutEquivalence(t *testing.T) {
 		`SELECT COUNT(*), SUM(time) FROM sessions WHERE os = 'Linux' GROUP BY city`,
 	} {
 		plan := compile(t, src, row.Schema)
-		wantRes, wantLat := FullScan(clus, cluster.SharkCached, row, plan, 1e5, 1, 1, exec.SchedBlind)
-		for _, w := range []int{1, 8} {
-			gotRes, gotLat := FullScan(clus, cluster.SharkCached, col, plan, 1e5, 1, w, exec.SchedNodeAffine)
-			if !reflect.DeepEqual(wantRes, gotRes) || wantLat != gotLat {
-				t.Errorf("%q workers=%d: FullScan diverged across layouts", src, w)
-			}
-		}
-
 		cfg := OLAConfig{TargetRelErr: 0.05, Seed: 11, Scale: 1e5}
 		wantOLA := OLA(clus, row, plan, cfg)
 		gotOLA := OLA(clus, col, plan, cfg)

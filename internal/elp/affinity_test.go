@@ -105,9 +105,9 @@ func TestUniformFamilyReasonLabel(t *testing.T) {
 
 // TestAffinityEquivalenceELP: the full ELP pipeline — probes, family and
 // resolution selection, latency attribution, final estimates — returns a
-// DeepEqual-identical Response whether the executor schedules node-affine
-// or node-blind, for worker counts 1, 2 and 8. Latencies are included:
-// attribution prices block placement, never the scheduling knob.
+// DeepEqual-identical Response under the shard-affine executor for worker
+// counts 2 and 8 as for Workers: 1. Latencies are included: attribution
+// prices block placement, never the worker count.
 func TestAffinityEquivalenceELP(t *testing.T) {
 	f := newFixture(t, 30000, Options{})
 	queries := []string{
@@ -116,29 +116,20 @@ func TestAffinityEquivalenceELP(t *testing.T) {
 		`SELECT AVG(time), MEDIAN(time) FROM sessions WHERE city = 'city2' GROUP BY os WITHIN 5 SECONDS`,
 		`SELECT SUM(time) FROM sessions WHERE city = 'city1' OR os = 'Win7' ERROR WITHIN 20%`,
 	}
-	off := false
 	for _, src := range queries {
 		q := parse(t, src)
-		var want *Response
-		for _, workers := range []int{1, 2, 8} {
-			rtOn := New(f.cat, f.clus, Options{Workers: workers})
-			rtOff := New(f.cat, f.clus, Options{Workers: workers, Affine: &off})
-			got, err := rtOn.Run(context.Background(), q, nil, nil)
+		want, err := New(f.cat, f.clus, Options{Workers: 1}).Run(context.Background(), q, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 8} {
+			got, err := New(f.cat, f.clus, Options{Workers: workers}).Run(context.Background(), q, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotOff, err := rtOff.Run(context.Background(), q, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, gotOff) {
-				t.Fatalf("%s workers=%d: affine and blind responses differ\non:  %+v\noff: %+v",
-					src, workers, got, gotOff)
-			}
-			if want == nil {
-				want = got
-			} else if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s: response differs across worker counts", src)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s workers=%d: response differs from workers=1\nwant %+v\ngot  %+v",
+					src, workers, want, got)
 			}
 		}
 	}

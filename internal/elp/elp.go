@@ -31,9 +31,14 @@ import (
 	"blinkdb/internal/types"
 )
 
-// DefaultShuffleFraction is Options.ShuffleFraction's default: shuffle
-// (GROUP BY exchange) volume approximated as 1% of bytes scanned.
-const DefaultShuffleFraction = 0.01
+// ShuffleVolumeFraction approximates shuffle (GROUP BY exchange) volume
+// as 1% of bytes scanned.
+const ShuffleVolumeFraction = 0.01
+
+// minProbeRows is the smallest sample size worth probing: the probe uses
+// the smallest resolution with at least this many rows so the selectivity
+// estimate carries statistical signal.
+const minProbeRows = 100
 
 // Options tune the runtime. Zero values select paper-default behaviour.
 type Options struct {
@@ -48,40 +53,15 @@ type Options struct {
 	// when upgrading from the probe resolution (§4.4); false recharges
 	// the full chosen sample — the ablation of intermediate-data reuse.
 	DeltaReuse *bool
-	// Scale maps physical stored bytes to logical bytes for BASE TABLE
-	// scans (our tables are laptop-scale stand-ins for TB-scale data).
+	// Scale maps physical stored bytes to logical bytes for base-table
+	// and sample scans (our tables are laptop-scale stand-ins for
+	// TB-scale data). Reads are priced under the cluster.BlinkDBEngine
+	// profile.
 	Scale float64
-	// SampleScale maps physical sample bytes to logical bytes. Sample
-	// resolutions are absolute row counts in the paper (§2.3: 1M/2M/4M
-	// tuples; K = 1e5), so their logical size scales with the cap ratio
-	// (paperK/ourK), not with the table-byte ratio. Defaults to Scale.
-	SampleScale float64
-	// Profile is the engine cost profile (default BlinkDBEngine).
-	Profile cluster.EngineProfile
-	// ShuffleFraction approximates shuffle volume as a fraction of bytes
-	// scanned (GROUP BY exchange). Default DefaultShuffleFraction.
-	ShuffleFraction float64
-	// ProbeOverheadOnly prices probe runs at job overhead alone,
-	// reflecting §4.1.1's assumption that the smallest samples fit in
-	// aggregate memory and "running Q on these samples is very fast".
-	// Off by default (probes priced like any other read).
-	ProbeOverheadOnly bool
-	// MinProbeRows is the smallest sample size worth probing; the probe
-	// uses the smallest resolution with at least this many rows so the
-	// selectivity estimate carries statistical signal. Default 100.
-	MinProbeRows int64
 	// Workers sizes the executor's scan worker pool (default 1). Results
 	// are bit-identical for any value: the executor folds block-partitioned
 	// partial aggregates in a deterministic order.
 	Workers int
-	// Affine, when true (default), schedules scan workers node-affine:
-	// each worker owns one simulated node's shard of the block list
-	// (exec.SchedNodeAffine). False restores the node-blind round-robin
-	// scheduler. Results are bit-identical either way — the partition and
-	// merge order never change — and latency attribution always prices
-	// the affine schedule's locality: which bytes are node-local is a
-	// property of block placement and the partition, not of the knob.
-	Affine *bool
 	// PlanCacheSize enables the template-keyed prepared-query cache: up
 	// to this many templates keep their compiled state, probe results and
 	// Error-Latency Profiles across queries, amortizing the probe cost
@@ -132,24 +112,8 @@ func (o Options) normalize() Options {
 	if o.Scale <= 0 {
 		o.Scale = 1
 	}
-	if o.SampleScale <= 0 {
-		o.SampleScale = o.Scale
-	}
-	if o.Profile.Name == "" {
-		o.Profile = cluster.BlinkDBEngine
-	}
-	if o.ShuffleFraction <= 0 {
-		o.ShuffleFraction = DefaultShuffleFraction
-	}
-	if o.MinProbeRows <= 0 {
-		o.MinProbeRows = 100
-	}
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.Affine == nil {
-		v := true
-		o.Affine = &v
 	}
 	if o.PlanCacheSize < 0 {
 		o.PlanCacheSize = 0
@@ -810,9 +774,9 @@ func (rt *Runtime) levelForTime(fam *sample.Family, plan *exec.Plan, budget, spe
 		view := fam.View(lvl)
 		var lat float64
 		if *rt.opt.DeltaReuse {
-			lat = rt.latencyOfSample(prunedBlocks(view.DeltaBlocks(small), plan))
+			lat = rt.latencyOf(prunedBlocks(view.DeltaBlocks(small), plan))
 		} else {
-			lat = rt.latencyOfSample(prunedBlocks(view.Blocks(), plan))
+			lat = rt.latencyOf(prunedBlocks(view.Blocks(), plan))
 		}
 		if spent+lat <= budget {
 			best = lvl
@@ -875,7 +839,7 @@ func (rt *Runtime) Profile(fam *sample.Family, plan *exec.Plan, conf float64) []
 			pt.ProjStdErr = worstStd * shrink
 			pt.ProjRelErr = worstRel * shrink
 		}
-		pt.Latency = rt.latencyOfSample(prunedBlocks(view.Blocks(), plan))
+		pt.Latency = rt.latencyOf(prunedBlocks(view.Blocks(), plan))
 		pts = append(pts, pt)
 	}
 	return pts
@@ -890,23 +854,19 @@ func (rt *Runtime) runProbe(ctx context.Context, plan *exec.Plan, in exec.Input,
 
 // runPlan executes the plan over the input, joining dimension tables when
 // the query has JOIN clauses (§2.1: fact-side sampling, exact broadcast
-// dimensions). The scan schedule follows Options.Affine. With sp non-nil
-// the scan records a span tree (per-shard partials + merge) beneath it.
+// dimensions). With sp non-nil the scan records a span tree (per-shard
+// partials + merge) beneath it.
 // The only possible error is ctx.Err(): a cancelled scan returns no
 // partial result. PlanExecs counts the attempt either way — a cancelled
 // scan may have done most of its work.
 func (rt *Runtime) runPlan(ctx context.Context, plan *exec.Plan, in exec.Input, conf float64, joins []exec.JoinSpec, sp *telemetry.Span) (*exec.Result, error) {
 	rt.bump(&rt.stats.planExecs)
-	sched := exec.SchedNodeAffine
-	if !*rt.opt.Affine {
-		sched = exec.SchedBlind
-	}
 	var ssp *telemetry.Span
 	if sp != nil {
 		ssp = sp.Child(fmt.Sprintf("scan blocks=%d", len(in.Blocks)))
 	}
 	res, err := exec.Run(ctx, plan, in, exec.Options{
-		Confidence: conf, Workers: rt.opt.Workers, Sched: sched, Joins: joins, Span: ssp,
+		Confidence: conf, Workers: rt.opt.Workers, Joins: joins, Span: ssp,
 	})
 	ssp.End()
 	return res, err
@@ -946,7 +906,7 @@ func (rt *Runtime) broadcastCost(joins []exec.JoinSpec) float64 {
 		bytes += float64(j.Dim.Bytes()) * rt.opt.Scale
 	}
 	cfg := rt.clus.Config()
-	return bytes / (float64(cfg.Nodes) * rt.opt.Profile.NetworkMBps * 1e6)
+	return bytes / (float64(cfg.Nodes) * cluster.BlinkDBEngine.NetworkMBps * 1e6)
 }
 
 // factColumns restricts a column set to those present in the fact schema.
@@ -1005,12 +965,12 @@ func PriceBlockRead(clus *cluster.Cluster, prof cluster.EngineProfile,
 	return clus.Latency(prof, work), nil
 }
 
-// latencyOf prices a block read via PriceBlockRead with the runtime's
-// profile and shuffle fraction. An empty block list costs nothing — §4.4:
-// upgrading to the already-probed resolution reads nothing and launches
-// no job; the probe's answer is reused as-is.
-func (rt *Runtime) latencyOf(blocks []*storage.Block, scale float64) float64 {
-	lat, err := PriceBlockRead(rt.clus, rt.opt.Profile, blocks, scale, rt.opt.ShuffleFraction)
+// latencyOf prices a base-table or sample read via PriceBlockRead under
+// the BlinkDB engine profile at the runtime's Scale. An empty block list
+// costs nothing — §4.4: upgrading to the already-probed resolution reads
+// nothing and launches no job; the probe's answer is reused as-is.
+func (rt *Runtime) latencyOf(blocks []*storage.Block) float64 {
+	lat, err := PriceBlockRead(rt.clus, cluster.BlinkDBEngine, blocks, rt.opt.Scale, ShuffleVolumeFraction)
 	if err != nil {
 		// Tables pass storage.Validate at build time, so a negative node
 		// id here is a programming error, not a user-recoverable one.
@@ -1019,32 +979,22 @@ func (rt *Runtime) latencyOf(blocks []*storage.Block, scale float64) float64 {
 	return lat
 }
 
-// latencyOfBase prices a base-table read (table-byte scale).
-func (rt *Runtime) latencyOfBase(blocks []*storage.Block) float64 {
-	return rt.latencyOf(blocks, rt.opt.Scale)
-}
-
-// latencyOfSample prices a sample read (sample scale).
-func (rt *Runtime) latencyOfSample(blocks []*storage.Block) float64 {
-	return rt.latencyOf(blocks, rt.opt.SampleScale)
-}
-
-// latencyOfProbe prices a probe run.
+// latencyOfProbe prices a probe run at job overhead alone, reflecting
+// §4.1.1's assumption that the smallest samples fit in aggregate memory
+// and "running Q on these samples is very fast". An empty probe launches
+// no job.
 func (rt *Runtime) latencyOfProbe(blocks []*storage.Block) float64 {
-	if rt.opt.ProbeOverheadOnly {
-		if len(blocks) == 0 {
-			return 0
-		}
-		return rt.opt.Profile.JobOverheadSec
+	if len(blocks) == 0 {
+		return 0
 	}
-	return rt.latencyOfSample(blocks)
+	return cluster.BlinkDBEngine.JobOverheadSec
 }
 
 // probeView returns the family's probe resolution: the smallest level with
-// at least MinProbeRows rows (or the largest level if none reaches it).
+// at least minProbeRows rows (or the largest level if none reaches it).
 func (rt *Runtime) probeView(fam *sample.Family) sample.View {
 	for lvl := 0; lvl < fam.Resolutions(); lvl++ {
-		if v := fam.View(lvl); v.Rows() >= rt.opt.MinProbeRows {
+		if v := fam.View(lvl); v.Rows() >= minProbeRows {
 			return v
 		}
 	}

@@ -260,7 +260,7 @@ func (rt *Runtime) prepareConjunctive(ctx context.Context, entry *catalog.Entry,
 	probeLat := rt.latencyOfProbe(probeBlocks)
 	for q.Err != nil && probe.RowsMatched < 20 && pv.Level < fam.Resolutions()-1 {
 		next := fam.View(pv.Level + 1)
-		step := rt.latencyOfSample(prunedBlocks(next.DeltaBlocks(pv), plan))
+		step := rt.latencyOf(prunedBlocks(next.DeltaBlocks(pv), plan))
 		if q.Time != nil && probeLat+step > q.Time.Seconds {
 			break // escalating further would blow the time bound
 		}
@@ -325,7 +325,7 @@ func (rt *Runtime) executeParams(ctx context.Context, pq *PreparedQuery, q *sqlp
 			return nil, err
 		}
 		d := Decision{UsedBase: true, Reason: "no bounds: exact execution on base table"}
-		d.ReadLatency = rt.latencyOfBase(pq.entry.Table.Blocks) + rt.broadcastCost(pq.joins)
+		d.ReadLatency = rt.latencyOf(pq.entry.Table.Blocks) + rt.broadcastCost(pq.joins)
 		rt.recordLevel(-1)
 		return &Response{Result: res, Decisions: []Decision{d}, SimLatency: d.Latency(), Confidence: conf}, nil
 	}
@@ -416,7 +416,7 @@ func (rt *Runtime) chooseConjunctive(pq *PreparedQuery, pd *prepDisjunct, plan *
 		// No samples at all: exact execution.
 		dec.UsedBase = true
 		dec.Reason = "no sample families available: exact execution"
-		dec.ReadLatency = rt.latencyOfBase(entry.Table.Blocks) + rt.broadcastCost(joins)
+		dec.ReadLatency = rt.latencyOf(entry.Table.Blocks) + rt.broadcastCost(joins)
 		return levelChoice{dec: dec, level: -1}
 	}
 	fam, pv, probe := pd.fam, pd.pv, pd.probe
@@ -459,7 +459,7 @@ func (rt *Runtime) chooseConjunctive(pq *PreparedQuery, pd *prepDisjunct, plan *
 			dec.Reason += "; largest sample insufficient for error bound"
 			dec.UsedBase = true
 			dec.Reason += "; error bound unreachable on samples: exact execution"
-			dec.ReadLatency = rt.latencyOfBase(entry.Table.Blocks) + rt.broadcastCost(joins)
+			dec.ReadLatency = rt.latencyOf(entry.Table.Blocks) + rt.broadcastCost(joins)
 			return levelChoice{dec: dec, level: -1}
 		}
 	case q.Time != nil:
@@ -483,9 +483,9 @@ func (rt *Runtime) chooseConjunctive(pq *PreparedQuery, pd *prepDisjunct, plan *
 	// Latency accounting applies §4.4 delta reuse: the probe already read
 	// resolutions 0..pv.Level.
 	if *rt.opt.DeltaReuse && probe != nil {
-		dec.ReadLatency = rt.latencyOfSample(prunedBlocks(view.DeltaBlocks(pv), plan))
+		dec.ReadLatency = rt.latencyOf(prunedBlocks(view.DeltaBlocks(pv), plan))
 	} else {
-		dec.ReadLatency = rt.latencyOfSample(prunedBlocks(view.Blocks(), plan))
+		dec.ReadLatency = rt.latencyOf(prunedBlocks(view.Blocks(), plan))
 	}
 	dec.ReadLatency += rt.broadcastCost(joins)
 	return levelChoice{dec: dec, level: level}

@@ -219,7 +219,7 @@ func (rt *Runtime) refineDecision(pq *PreparedQuery, pd *prepDisjunct, plan *exe
 	view := fam.View(level)
 	dec.View = view
 	dec.PredictedBound = predictedBound(fam, probe, level, pv, conf)
-	dec.ReadLatency = rt.latencyOfSample(prunedBlocks(view.DeltaBlocks(pv), plan)) + rt.broadcastCost(pq.joins)
+	dec.ReadLatency = rt.latencyOf(prunedBlocks(view.DeltaBlocks(pv), plan)) + rt.broadcastCost(pq.joins)
 	dec.Reason += fmt.Sprintf("; streaming refinement at resolution %d/%d (K=%d)", level, fam.Resolutions()-1, view.Cap())
 	return dec
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -33,10 +32,10 @@ func reorderByNode(t testing.TB, tab *storage.Table) *storage.Table {
 	return out
 }
 
-// TestAffinityEquivalence is the tentpole's executor acceptance check:
-// the node-affine schedule returns bit-identical Results to the
-// node-blind schedule for worker counts 1, 2 and 8 (and more workers
-// than shards), across query shapes, block layouts and placements.
+// TestAffinityEquivalence is the shard-affine scheduler's acceptance
+// check: worker counts 2 and 8 (and more workers than shards, which falls
+// back to per-range claiming) return bit-identical Results to Workers: 1,
+// across query shapes, block layouts and placements.
 func TestAffinityEquivalence(t *testing.T) {
 	for _, rowsPerBlock := range []int{64, 509} {
 		base := randomWeightedTable(t, 4, 6000, rowsPerBlock)
@@ -44,17 +43,12 @@ func TestAffinityEquivalence(t *testing.T) {
 			for _, src := range equivalenceQueries {
 				p := compile(t, src, tab.Schema)
 				in := FromTable(tab)
-				want := runOpt(p, in, Options{Confidence: 0.95, Workers: 1, Sched: SchedBlind})
-				for _, w := range []int{1, 2, 8, 1 << 10} {
-					got := runOpt(p, in, Options{Confidence: 0.95, Workers: w, Sched: SchedNodeAffine})
+				want := runOpt(p, in, Options{Confidence: 0.95, Workers: 1})
+				for _, w := range []int{2, 8, 1 << 10} {
+					got := runOpt(p, in, Options{Confidence: 0.95, Workers: w})
 					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("rpb=%d workers=%d query=%q: affine result diverged from blind\nwant %+v\ngot  %+v",
+						t.Fatalf("rpb=%d workers=%d query=%q: result diverged from workers=1\nwant %+v\ngot  %+v",
 							rowsPerBlock, w, src, want, got)
-					}
-					blind := runOpt(p, in, Options{Confidence: 0.95, Workers: w, Sched: SchedBlind})
-					if !reflect.DeepEqual(want, blind) {
-						t.Fatalf("rpb=%d workers=%d query=%q: blind result diverged across workers",
-							rowsPerBlock, w, src)
 					}
 				}
 			}
@@ -62,8 +56,9 @@ func TestAffinityEquivalence(t *testing.T) {
 	}
 }
 
-// TestAffinityJoinEquivalence covers the join path: affine and blind
-// schedules agree bit-for-bit while dimension rows are hash-joined in.
+// TestAffinityJoinEquivalence covers the join path: every worker count
+// agrees bit-for-bit with Workers: 1 while dimension rows are hash-joined
+// in.
 func TestAffinityJoinEquivalence(t *testing.T) {
 	fact := randomWeightedTable(t, 11, 4000, 97)
 	dimSchema := types.NewSchema(
@@ -89,11 +84,11 @@ func TestAffinityJoinEquivalence(t *testing.T) {
 	p := compile(t, `SELECT COUNT(*), AVG(sessiontime) FROM sessions WHERE code < 700 GROUP BY region`, combined)
 	in := FromTable(fact)
 
-	want := runOpt(p, in, Options{Confidence: 0.95, Workers: 1, Sched: SchedBlind, Joins: []JoinSpec{spec}})
-	for _, w := range []int{1, 2, 8} {
-		got := runOpt(p, in, Options{Confidence: 0.95, Workers: w, Sched: SchedNodeAffine, Joins: []JoinSpec{spec}})
+	want := runOpt(p, in, Options{Confidence: 0.95, Workers: 1, Joins: []JoinSpec{spec}})
+	for _, w := range []int{2, 8} {
+		got := runOpt(p, in, Options{Confidence: 0.95, Workers: w, Joins: []JoinSpec{spec}})
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: affine join result diverged", w)
+			t.Fatalf("workers=%d: join result diverged from workers=1", w)
 		}
 	}
 }
@@ -130,47 +125,16 @@ func randomPlacementTable(t testing.TB, seed int64, rows int) *storage.Table {
 }
 
 // TestAffinityRandomPlacement: equivalence must hold for arbitrary
-// (non-round-robin) node assignments too.
+// (non-round-robin) node assignments too. With 5 nodes, 8 workers
+// outnumber the shards and take the per-range fallback.
 func TestAffinityRandomPlacement(t *testing.T) {
 	tab := randomPlacementTable(t, 21, 5000)
 	p := compile(t, `SELECT SUM(sessiontime), MEDIAN(sessiontime) FROM sessions WHERE code < 800 GROUP BY city`, tab.Schema)
 	in := FromBlocks(tab.Schema, tab.Blocks, 400)
-	want := runOpt(p, in, Options{Confidence: 0.95, Workers: 1, Sched: SchedBlind})
+	want := runOpt(p, in, Options{Confidence: 0.95, Workers: 1})
 	for _, w := range []int{2, 3, 8} {
-		if got := runOpt(p, in, Options{Confidence: 0.95, Workers: w, Sched: SchedNodeAffine}); !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: affine result diverged under random placement", w)
+		if got := runOpt(p, in, Options{Confidence: 0.95, Workers: w}); !reflect.DeepEqual(want, got) {
+			t.Fatalf("workers=%d: result diverged under random placement", w)
 		}
-	}
-}
-
-func BenchmarkRunParallelAffine(b *testing.B) {
-	row := randomWeightedTable(b, 9, 200000, 2048)
-	col := columnarClone(b, row, 2048, 4)
-	p := compile(b, `SELECT COUNT(*), SUM(sessiontime), AVG(sessiontime) FROM sessions WHERE code < 900 GROUP BY city`, row.Schema)
-	in := FromTable(col)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				runOpt(p, in, Options{Confidence: 0.95, Workers: w, Sched: SchedNodeAffine})
-			}
-			b.SetBytes(int64(col.Bytes()))
-		})
-	}
-}
-
-func BenchmarkRunParallelBlind(b *testing.B) {
-	row := randomWeightedTable(b, 9, 200000, 2048)
-	col := columnarClone(b, row, 2048, 4)
-	p := compile(b, `SELECT COUNT(*), SUM(sessiontime), AVG(sessiontime) FROM sessions WHERE code < 900 GROUP BY city`, row.Schema)
-	in := FromTable(col)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				runOpt(p, in, Options{Confidence: 0.95, Workers: w, Sched: SchedBlind})
-			}
-			b.SetBytes(int64(col.Bytes()))
-		})
 	}
 }

@@ -94,31 +94,11 @@ type Plan struct {
 	Aggs       []AggPlan
 	Limit      int
 
-	// Tuning toggles the scan path's physical optimizations.
-	Tuning Tuning
-
 	// rt caches the compiled predicate closure and zone-pruning bounds.
 	// It is populated by Compile/WithPred; hand-assembled Plans fall back
 	// to compiling on entry (without mutating the Plan, so sharing a Plan
 	// across goroutines stays race-free).
 	rt *planRuntime
-}
-
-// Tuning disables individual physical optimizations of the scan path —
-// the A/B benchmarks and the equivalence suite use it to pin the old and
-// new paths against each other. The zero value enables everything. Every
-// combination is purely physical: the Result is bit-identical across all
-// of them (and across worker counts), only the speed differs.
-type Tuning struct {
-	// NoTristateZones keeps zone maps prune-only: blocks whose zones prove
-	// the predicate true for every row are still evaluated row by row.
-	NoTristateZones bool
-	// NoSelVectors disables the selection-vector compare kernels; single-
-	// leaf predicates always evaluate through the bitmap kernels.
-	NoSelVectors bool
-	// NoLateMaterialization makes joins materialize every fact row and
-	// expand it before filtering, as the pre-overhaul path did.
-	NoLateMaterialization bool
 }
 
 // planRuntime is the precompiled hot-path state derived from Plan.Pred.
@@ -486,12 +466,10 @@ func runPartial(p *Plan, rt *planRuntime, in Input, lo, hi int,
 				// predicate lets the scan skip evaluation and
 				// batch-aggregate every row.
 				allTrue := false
-				if pred != nil && rt.leaves != nil && !p.Tuning.NoTristateZones {
+				if pred != nil && rt.leaves != nil {
 					allTrue = zoneImpliesPred(b, d, rt.leaves)
 				}
 				pt.scanColumnar(p, rt, in, d, sc, allTrue)
-			} else if p.Tuning.NoLateMaterialization {
-				pt.scanColumnarExpand(p, rt, in, d, sc, jr)
 			} else {
 				pt.scanColumnarJoin(p, rt, in, d, sc, jr)
 			}
@@ -719,36 +697,8 @@ func encodeKey(key []types.Value) string {
 	return b.String()
 }
 
-// Sched selects how the executor assigns scan ranges to workers. Both
-// modes consume the SAME deterministic block partition and merge partials
-// in block-index order, so results are bit-identical across modes and
-// worker counts; only the assignment of ranges to workers differs.
-type Sched uint8
-
-const (
-	// SchedNodeAffine — the default — groups the partition's ranges into
-	// per-node shards (storage.PartitionBlocksByNode) and hands each
-	// worker whole shards, so one worker owns one simulated node's blocks
-	// (the paper's §2.2.1 layout: samples striped as many small blocks
-	// across the cluster, scanned by node-local tasks). When the data
-	// occupies fewer shards than there are workers, scheduling falls back
-	// to per-range claiming rather than idling cores.
-	SchedNodeAffine Sched = iota
-	// SchedBlind restores the node-blind schedule: workers claim ranges
-	// round-robin regardless of block placement.
-	SchedBlind
-)
-
-// String renders the scheduling mode.
-func (s Sched) String() string {
-	if s == SchedBlind {
-		return "blind"
-	}
-	return "node-affine"
-}
-
 // ScanShards exposes the executor's node-affine schedule for a block
-// list: the contiguous partial ranges (identical to the node-blind
+// list: the contiguous partial ranges (identical to the count-only
 // partition) and the per-node shards that consume them. The ELP runtime
 // uses it to attribute scan locality in the cluster model, and
 // blinkdb-bench reports its locality hit rate.
@@ -758,15 +708,13 @@ func ScanShards(blocks []*storage.Block) ([]storage.BlockRange, []storage.NodeSh
 
 // Options are the executor's per-call settings. Only Confidence is
 // required: the zero value of every other field is a single-worker scan
-// under the default node-affine schedule, with no joins and no span.
+// with no joins and no span.
 type Options struct {
 	// Confidence is the CI level of the estimates (e.g. 0.95).
 	Confidence float64
 	// Workers bounds the scan goroutines; ≤ 1 scans on the caller's
 	// goroutine.
 	Workers int
-	// Sched selects how scan ranges are assigned to workers.
-	Sched Sched
 	// Joins, when non-empty, hash-joins these broadcast dimension tables
 	// onto the fact side; the plan must then be compiled against the
 	// combined schema (JoinedSchema).
@@ -780,17 +728,25 @@ type Options struct {
 // contiguous ranges whose boundaries depend only on the block count; each
 // range produces one Partial, and the partials fold in block order — so
 // the Result is bit-identical for every Workers value (1, 8, or more
-// workers than blocks) and either Sched.
+// workers than blocks).
+//
+// Scheduling is shard-affine: the partition's ranges are grouped into
+// per-node shards (storage.PartitionBlocksByNode) and each worker claims
+// whole shards, so one worker owns one simulated node's blocks (the
+// paper's §2.2.1 layout: samples striped as many small blocks across the
+// cluster, scanned by node-local tasks). When the data occupies fewer
+// shards than there are workers, workers claim single ranges instead
+// rather than idling cores.
 //
 // With Joins, the fact side streams from in (a base table or a sample
 // view — rates carry through unchanged, since dimensions are unsampled,
 // §2.1) and dimension rows are hash-joined in memory; the join indexes
 // are built once up front and shared read-only across the workers.
 //
-// Workers re-check ctx between claim units (one scan range, or one node
-// shard's range under the affine schedule), so a cancelled context stops
-// the scan within one range's worth of work, and a context cancelled
-// before the call scans nothing. On cancellation the partial merge is
+// Workers re-check ctx between claim units (one scan range, or one range
+// of a node shard), so a cancelled context stops the scan within one
+// range's worth of work, and a context cancelled before the call scans
+// nothing. On cancellation the partial merge is
 // abandoned and ctx.Err() is returned; a nil error guarantees the
 // bit-identical Result. With a context that is never cancelled the error
 // is always nil.
@@ -820,11 +776,11 @@ func Run(ctx context.Context, p *Plan, in Input, opt Options) (*Result, error) {
 }
 
 // runRanges is the shared scan driver for plain and join execution. The
-// claim unit is one range under the blind schedule and one node shard
-// (that node's whole range list) under the affine schedule; either way a
-// range's Partial lands at its partition index and MergePartials folds in
-// range order, so every float accumulation — and hence the Result — is
-// identical across schedules and worker counts.
+// claim unit is one node shard (that node's whole range list), or one
+// range when there are fewer shards than workers; either way a range's
+// Partial lands at its partition index and MergePartials folds in range
+// order, so every float accumulation — and hence the Result — is
+// identical across claim units and worker counts.
 // Span bookkeeping (opt.Span non-nil) adds one child span per claim unit
 // plus a merge span; with no span the scan performs no telemetry work at
 // all. Cancellation is checked per claim unit and per range within a
@@ -842,7 +798,7 @@ func runRanges(ctx context.Context, p *Plan, in Input, opt Options, jr *joinRunt
 	// exactly once.
 	var ranges []storage.BlockRange
 	var shards []storage.NodeShard
-	if opt.Sched == SchedNodeAffine && workers > 1 {
+	if workers > 1 {
 		var byNode []storage.NodeShard
 		ranges, byNode = storage.PartitionBlocksByNode(in.Blocks, maxPartials)
 		if len(byNode) >= workers {

@@ -82,9 +82,10 @@ func hasRLEColumn(tab *storage.Table) bool {
 
 // TestThreeWayEquivalence is the overhaul's acceptance gate: row layout,
 // plain-columnar (RLE disabled) and RLE-columnar must return bit-identical
-// Results for every query shape, worker count and Tuning combination —
-// including all-true/all-false zone blocks, NULL runs, mixed-kind run
-// columns, and selection-vector vs bitmap kernel dispatch.
+// Results for every query shape and worker count — including
+// all-true/all-false zone blocks, NULL runs, mixed-kind run columns, and
+// selection-vector vs bitmap kernel dispatch (TestSelVecLeafDispatch
+// pins that both kernels run on these queries).
 func TestThreeWayEquivalence(t *testing.T) {
 	row := stratSortedTable(t, storage.RowLayout, false)
 	plain := stratSortedTable(t, storage.ColumnarLayout, false)
@@ -108,25 +109,15 @@ func TestThreeWayEquivalence(t *testing.T) {
 		`SELECT SUM(score) FROM strat WHERE strat <> 'stratum-00' AND NOT (v <= 5)`,
 		`SELECT COUNT(*), AVG(v) FROM strat WHERE score = 70 OR strat < 'stratum-03' GROUP BY tier`,
 	}
-	tunings := []Tuning{
-		{},
-		{NoTristateZones: true},
-		{NoSelVectors: true},
-		{NoTristateZones: true, NoSelVectors: true},
-	}
 	for _, src := range queries {
 		p := compile(t, src, row.Schema)
 		want := runOpt(p, FromTable(row), Options{Confidence: 0.95, Workers: 1})
 		for li, leg := range []*storage.Table{plain, rle} {
-			for _, tn := range tunings {
-				pt := *p
-				pt.Tuning = tn
-				for _, w := range []int{1, 2, 8} {
-					got := runOpt(&pt, FromTable(leg), Options{Confidence: 0.95, Workers: w})
-					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("leg=%d tuning=%+v workers=%d query=%q: diverged\nwant %+v\ngot  %+v",
-							li, tn, w, src, want, got)
-					}
+			for _, w := range []int{1, 2, 8} {
+				got := runOpt(p, FromTable(leg), Options{Confidence: 0.95, Workers: w})
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("leg=%d workers=%d query=%q: diverged\nwant %+v\ngot  %+v",
+						li, w, src, want, got)
 				}
 			}
 		}
@@ -139,8 +130,9 @@ func TestThreeWayEquivalence(t *testing.T) {
 	}
 }
 
-// TestThreeWayJoinEquivalence pins late-materialized joins against the
-// row path and the early-materialization fallback across fact layouts.
+// TestThreeWayJoinEquivalence pins late-materialized columnar joins
+// against the row-layout join loop (expand every fact row, then filter)
+// across fact layouts.
 func TestThreeWayJoinEquivalence(t *testing.T) {
 	row := stratSortedTable(t, storage.RowLayout, false)
 	plain := stratSortedTable(t, storage.ColumnarLayout, false)
@@ -176,15 +168,11 @@ func TestThreeWayJoinEquivalence(t *testing.T) {
 		p := compile(t, src, combined)
 		want := runOpt(p, FromTable(row), Options{Confidence: 0.95, Workers: 1, Joins: []JoinSpec{spec}})
 		for li, leg := range []*storage.Table{plain, rle} {
-			for _, tn := range []Tuning{{}, {NoLateMaterialization: true}} {
-				pt := *p
-				pt.Tuning = tn
-				for _, w := range []int{1, 2, 8} {
-					got := runOpt(&pt, FromTable(leg), Options{Confidence: 0.95, Workers: w, Joins: []JoinSpec{spec}})
-					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("leg=%d tuning=%+v workers=%d query=%q: join diverged\nwant %+v\ngot  %+v",
-							li, tn, w, src, want, got)
-					}
+			for _, w := range []int{1, 2, 8} {
+				got := runOpt(p, FromTable(leg), Options{Confidence: 0.95, Workers: w, Joins: []JoinSpec{spec}})
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("leg=%d workers=%d query=%q: join diverged\nwant %+v\ngot  %+v",
+						li, w, src, want, got)
 				}
 			}
 		}
@@ -268,6 +256,62 @@ func checkSelAgainstBitmap(t *testing.T, kind string, op types.CmpOp, dst []uint
 	}
 }
 
+// TestSelVecLeafDispatch pins that the selectivity estimate really routes
+// single-leaf predicates to both kernels on the equivalence suite's table:
+// the sparse v < 0.5 leaf falls back to the bitmap kernel once its first
+// block has shown the low match rate, the mid-selectivity v < 40 leaf
+// stays on the selection-vector kernel, and a column with a NULL bitmap
+// always takes the bitmap kernel.
+func TestSelVecLeafDispatch(t *testing.T) {
+	tab := stratSortedTable(t, storage.ColumnarLayout, false)
+	vIdx := tab.Schema.Index("v")
+	for _, tc := range []struct {
+		limit       float64
+		wantSelVecs bool
+	}{{0.5, false}, {40, true}} {
+		leaf := &types.CmpPred{Col: "v", ColIdx: vIdx, Op: types.CmpLt, Val: types.Float(tc.limit)}
+		var scanned, matched int64
+		for bi, blk := range tab.Blocks {
+			d := blk.Col
+			k, ok := selVecLeaf(leaf, d, make([]int32, d.N), d.N, scanned, matched)
+			if bi > 0 && ok != tc.wantSelVecs {
+				t.Fatalf("v < %g block %d (prior %d/%d matched): ok=%v, want %v",
+					tc.limit, bi, matched, scanned, ok, tc.wantSelVecs)
+			}
+			n := 0
+			for i := 0; i < d.N; i++ {
+				if leaf.Eval(blk.RowAt(i)) {
+					n++
+				}
+			}
+			if ok && k != n {
+				t.Fatalf("v < %g block %d: selection vector holds %d rows, want %d", tc.limit, bi, k, n)
+			}
+			scanned += int64(d.N)
+			matched += int64(n)
+		}
+	}
+
+	// score mixes NULL runs with float runs; a block holding both keeps
+	// the float encoding plus a NULL bitmap.
+	sIdx := tab.Schema.Index("score")
+	leaf := &types.CmpPred{Col: "score", ColIdx: sIdx, Op: types.CmpLt, Val: types.Float(40)}
+	nullable := 0
+	for _, blk := range tab.Blocks {
+		d := blk.Col
+		if col := d.Cols[sIdx]; col.Nulls == nil || col.Enc != colstore.EncFloat {
+			continue
+		}
+		nullable++
+		if _, ok := selVecLeaf(leaf, d, make([]int32, d.N), d.N, 0, 0); ok {
+			t.Fatalf("block %d: nullable column took the selection-vector kernel", blk.ID)
+		}
+	}
+	if nullable == 0 {
+		t.Fatal("no float block with a NULL bitmap — the nullable case is vacuous")
+	}
+}
+
 // TestCmpIntsAsFloatNormalization checks the int-threshold rewrite against
 // the per-element float-conversion reference on every tricky constant:
 // fractional, integral, NaN, ±Inf, and the 2^53/2^63 rounding bands.
@@ -329,11 +373,10 @@ func TestScanColumnarSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestScanColumnarJoinSteadyStateZeroAlloc pins the late- and
-// early-materialization join scan loops at zero allocations per pass once
-// the pooled combined-row buffer (sized at plan time, reused via
-// colScratch) and group states are warm — the regression the buffer hoist
-// exists to prevent.
+// TestScanColumnarJoinSteadyStateZeroAlloc pins the late-materialization
+// join scan loop at zero allocations per pass once the pooled combined-row
+// buffer (sized at plan time, reused via colScratch) and group states are
+// warm — the regression the buffer hoist exists to prevent.
 func TestScanColumnarJoinSteadyStateZeroAlloc(t *testing.T) {
 	tab := stratSortedTable(t, storage.ColumnarLayout, true)
 	dimSchema := types.NewSchema(
@@ -357,22 +400,16 @@ func TestScanColumnarJoinSteadyStateZeroAlloc(t *testing.T) {
 	rt := p.runtime()
 	jr := newJoinRuntime(p, []JoinSpec{{Dim: dim, LeftCol: 0, RightCol: 0}})
 	in := FromTable(tab)
-	for name, late := range map[string]bool{"late": true, "early": false} {
-		sc := &colScratch{}
-		pt := &Partial{groups: make(map[uint64][]*groupState)}
-		scan := func() {
-			for _, blk := range tab.Blocks {
-				if late {
-					pt.scanColumnarJoin(p, rt, in, blk.Col, sc, jr)
-				} else {
-					pt.scanColumnarExpand(p, rt, in, blk.Col, sc, jr)
-				}
-			}
+	sc := &colScratch{}
+	pt := &Partial{groups: make(map[uint64][]*groupState)}
+	scan := func() {
+		for _, blk := range tab.Blocks {
+			pt.scanColumnarJoin(p, rt, in, blk.Col, sc, jr)
 		}
-		scan() // warm: row buffer, bitmap scratch, group states
-		if a := testing.AllocsPerRun(20, scan); a != 0 {
-			t.Errorf("%s: steady-state join scan allocates %.1f allocs/run, want 0", name, a)
-		}
+	}
+	scan() // warm: row buffer, bitmap scratch, group states
+	if a := testing.AllocsPerRun(20, scan); a != 0 {
+		t.Errorf("steady-state join scan allocates %.1f allocs/run, want 0", a)
 	}
 }
 
@@ -400,11 +437,11 @@ func TestTristateZoneSkipsEval(t *testing.T) {
 		t.Fatal("no block classified all-true — the shortcut never fires on its target workload")
 	}
 	// And the shortcut must not change results (belt over the equivalence
-	// suite's braces, on this exact plan).
-	want := runOpt(p, FromTable(tab), Options{Confidence: 0.95, Workers: 1})
-	pNo := *p
-	pNo.Tuning.NoTristateZones = true
-	got := runOpt(&pNo, FromTable(tab), Options{Confidence: 0.95, Workers: 1})
+	// suite's braces, on this exact plan): the row layout evaluates the
+	// predicate on every row.
+	row := stratSortedTable(t, storage.RowLayout, false)
+	want := runOpt(p, FromTable(row), Options{Confidence: 0.95, Workers: 1})
+	got := runOpt(p, FromTable(tab), Options{Confidence: 0.95, Workers: 1})
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("three-state zones changed the result")
 	}
@@ -526,8 +563,7 @@ func BenchmarkCmpRLE(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinLateMat measures the late-materialization join against the
-// early-materialization fallback on the same plan and data.
+// BenchmarkJoinLateMat measures the late-materialization columnar join.
 func BenchmarkJoinLateMat(b *testing.B) {
 	row := randomWeightedTable(b, 17, 120000, 2048)
 	col := columnarClone(b, row, 2048, 4)
@@ -547,18 +583,9 @@ func BenchmarkJoinLateMat(b *testing.B) {
 	}
 	spec := JoinSpec{Dim: dim, LeftCol: 0, RightCol: 0}
 	p := compile(b, `SELECT COUNT(*), SUM(sessiontime) FROM sessions WHERE code < 500 AND region <> 'south' GROUP BY region`, combined)
-	for _, tn := range []struct {
-		name string
-		t    Tuning
-	}{{"late", Tuning{}}, {"early", Tuning{NoLateMaterialization: true}}} {
-		b.Run(tn.name, func(b *testing.B) {
-			pt := *p
-			pt.Tuning = tn.t
-			b.ReportAllocs()
-			b.SetBytes(int64(col.Bytes()))
-			for i := 0; i < b.N; i++ {
-				runOpt(&pt, FromTable(col), Options{Confidence: 0.95, Workers: 1, Joins: []JoinSpec{spec}})
-			}
-		})
+	b.ReportAllocs()
+	b.SetBytes(int64(col.Bytes()))
+	for i := 0; i < b.N; i++ {
+		runOpt(p, FromTable(col), Options{Confidence: 0.95, Workers: 1, Joins: []JoinSpec{spec}})
 	}
 }

@@ -704,8 +704,7 @@ func (pt *Partial) scanColumnar(p *Plan, rt *planRuntime, in Input, d *colstore.
 	if n == 0 {
 		return
 	}
-	if (rt.pred == nil || allTrue) && !p.Tuning.NoTristateZones &&
-		pt.scanColumnarAllRows(p, in, d, sc) {
+	if (rt.pred == nil || allTrue) && pt.scanColumnarAllRows(p, in, d, sc) {
 		return
 	}
 	priorScanned, priorMatched := pt.RowsScanned, pt.RowsMatched
@@ -719,7 +718,7 @@ func (pt *Partial) scanColumnar(p *Plan, rt *planRuntime, in Input, d *colstore.
 	var sel []uint64
 	selDone := false
 	if rt.pred != nil && !allTrue {
-		if rt.soleLeaf != nil && !p.Tuning.NoSelVectors {
+		if rt.soleLeaf != nil {
 			if k, ok := selVecLeaf(rt.soleLeaf, d, sc.idxs[:n], n, priorScanned, priorMatched); ok {
 				idxs, selDone = sc.idxs[:k], true
 			}
@@ -1168,46 +1167,15 @@ func growFloats(buf *[]float64, n int) []float64 {
 	return (*buf)[:n]
 }
 
-// scanColumnarExpand is the early-materialization join path over a
-// columnar block (the Tuning.NoLateMaterialization fallback): every fact
-// row is materialised into the pooled combined-row buffer, expanded
-// through the join chain, and only then filtered. Buffer sizing happened
-// once at plan time (joinRuntime.width); nothing downstream retains the
-// buffer (addMatched copies what it keeps).
-func (pt *Partial) scanColumnarExpand(p *Plan, rt *planRuntime, in Input, d *colstore.Data,
-	sc *colScratch, jr *joinRuntime) {
-
-	pred := rt.pred
-	buf := sc.rowBuf(jr.width)
-	var rate float64
-	var freq int64
-	emit := func(r types.Row) {
-		if pred != nil && !pred(r) {
-			return
-		}
-		pt.addMatched(p, r, rate, freq)
-	}
-	factW := len(d.Cols)
-	for i := 0; i < d.N; i++ {
-		pt.RowsScanned++
-		rate = 1.0
-		if in.Rate != nil {
-			rate = in.Rate(storage.RowMeta{Rate: d.RateAt(i), StratumFreq: d.FreqAt(i)})
-		}
-		freq = d.FreqAt(i)
-		d.RowInto(buf[:factW], i)
-		jr.expandInto(buf, factW, 0, emit)
-	}
-}
-
 // scanColumnarJoin is the late-materialization join path: the fact-side
 // predicate conjuncts are evaluated FIRST over the columnar block, join
 // keys of surviving rows are probed straight out of the key columns, and
 // only fact rows with at least one dimension match are materialised into
 // the pooled buffer. Expansion order, filter semantics and aggregation
-// order are exactly scanColumnarExpand's — rows that path would discard
-// after materialising (predicate miss or empty join) are skipped before
-// paying for materialisation, which changes no emitted value.
+// order are exactly the row-layout join loop's in runPartial, which
+// materialises and expands every fact row before filtering — rows that
+// loop would discard (predicate miss or empty join) are skipped here
+// before paying for materialisation, which changes no emitted value.
 func (pt *Partial) scanColumnarJoin(p *Plan, rt *planRuntime, in Input, d *colstore.Data,
 	sc *colScratch, jr *joinRuntime) {
 

@@ -26,10 +26,10 @@ func AblationDeltaReuse(cfg Config) (*Table, error) {
 	}
 	on, off := true, false
 	rtOn := elp.New(env.Catalog[MultiDim], env.Clus, elp.Options{
-		Scale: env.Scale, ProbeOverheadOnly: true, DeltaReuse: &on, Workers: env.Cfg.Workers,
+		Scale: env.Scale, DeltaReuse: &on, Workers: env.Cfg.Workers,
 	})
 	rtOff := elp.New(env.Catalog[MultiDim], env.Clus, elp.Options{
-		Scale: env.Scale, ProbeOverheadOnly: true, DeltaReuse: &off, Workers: env.Cfg.Workers,
+		Scale: env.Scale, DeltaReuse: &off, Workers: env.Cfg.Workers,
 	})
 	tab := &Table{
 		Title:  "Ablation (§4.4): intermediate-data (delta block) reuse",
@@ -75,10 +75,10 @@ func AblationProbeAll(cfg Config) (*Table, error) {
 	}
 	all, subset := true, false
 	rtAll := elp.New(env.Catalog[MultiDim], env.Clus, elp.Options{
-		Scale: env.Scale, ProbeOverheadOnly: true, ProbeAll: &all, Workers: env.Cfg.Workers,
+		Scale: env.Scale, ProbeAll: &all, Workers: env.Cfg.Workers,
 	})
 	rtSub := elp.New(env.Catalog[MultiDim], env.Clus, elp.Options{
-		Scale: env.Scale, ProbeOverheadOnly: true, ProbeAll: &subset, Workers: env.Cfg.Workers,
+		Scale: env.Scale, ProbeAll: &subset, Workers: env.Cfg.Workers,
 	})
 	tab := &Table{
 		Title:  "Ablation (§4.1.1): probe all families vs only column-sharing families",
@@ -163,7 +163,7 @@ func AblationAffinity(cfg Config) (*Table, error) {
 	// The exact pricing path the runtime uses for sample reads.
 	price := func(blocks []*storage.Block) (float64, error) {
 		return elp.PriceBlockRead(env.Clus, cluster.BlinkDBEngine, blocks,
-			env.Scale, elp.DefaultShuffleFraction)
+			env.Scale, elp.ShuffleVolumeFraction)
 	}
 	for _, f := range entry.Families {
 		name := f.Label()

@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -225,9 +226,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	arrival := s.cfg.Now()
-	req, err := decodeRequest(r)
+	req, err := decodeRequest(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, err)
 		return
 	}
 	q, key, err := s.bindBounds(req)
@@ -387,14 +393,26 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, q *sqlparse
 	return compute
 }
 
+// maxBodyBytes caps a POST /query body; reading past it fails with
+// *http.MaxBytesError, which the handler answers with 413.
+const maxBodyBytes = 1 << 20
+
 // decodeRequest reads a queryRequest from JSON (POST) or URL parameters
-// (GET).
-func decodeRequest(r *http.Request) (*queryRequest, error) {
+// (GET). A POST body must hold exactly one JSON object of at most
+// maxBodyBytes; anything but whitespace after it is rejected.
+func decodeRequest(w http.ResponseWriter, r *http.Request) (*queryRequest, error) {
 	req := &queryRequest{}
 	switch r.Method {
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		if err := dec.Decode(req); err != nil {
 			return nil, fmt.Errorf("bad request body: %w", err)
+		}
+		if err := dec.Decode(&struct{}{}); err != io.EOF {
+			if err == nil {
+				err = errors.New("more than one JSON value")
+			}
+			return nil, fmt.Errorf("bad request body: trailing data: %w", err)
 		}
 	case http.MethodGet:
 		qv := r.URL.Query()

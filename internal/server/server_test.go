@@ -294,6 +294,21 @@ func TestBoundParams(t *testing.T) {
 			t.Errorf("time=%s must 400, got %d: %s", secs, w.Code, w.Body.String())
 		}
 	}
+	// A POST body holds one JSON object of at most 1 MiB: an 8 MiB
+	// space-padded object is refused with 413 before it is buffered, and
+	// a second value after the object is a 400. Trailing whitespace is
+	// fine.
+	padded := `{"sql": "SELECT COUNT(*) FROM sessions"` + strings.Repeat(" ", 8<<20) + `}`
+	if w = postQuery(t, srv, padded); w.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("8 MiB body must 413, got %d", w.Code)
+	}
+	w = postQuery(t, srv, `{"sql": "SELECT COUNT(*) FROM sessions"} {"sql": "garbage"`)
+	if w.Code != http.StatusBadRequest {
+		t.Errorf("trailing JSON value must 400, got %d: %s", w.Code, w.Body.String())
+	}
+	if w = postQuery(t, srv, "{\"sql\": \"SELECT COUNT(*) FROM sessions\"}\n"); w.Code != http.StatusOK {
+		t.Errorf("trailing newline must be accepted, got %d: %s", w.Code, w.Body.String())
+	}
 }
 
 // TestGetQueryParams pins the GET form of /query.

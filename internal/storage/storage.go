@@ -284,8 +284,8 @@ type NodeShard struct {
 //
 // The range boundaries deliberately never depend on placement: they are
 // exactly PartitionBlocks's, so an executor that merges per-range
-// partials in range order produces results bit-identical to the
-// node-blind schedule — affinity changes WHICH worker scans a range,
+// partials in range order produces results bit-identical to claiming
+// single ranges — affinity changes WHICH worker scans a range,
 // never how the ranges (and hence float accumulation) are laid out.
 func PartitionBlocksByNode(blocks []*Block, maxParts int) ([]BlockRange, []NodeShard) {
 	ranges := PartitionBlocks(len(blocks), maxParts)
